@@ -11,13 +11,11 @@ from .canonical import (
     SingularTransformError,
     apply,
     offdiag_norm,
-    spectral_equivalence_check,
 )
 from .decouple import (
     DecoupleMethod,
     DecoupleResult,
     apply_method,
-    cosine_split,
     full_symplectic,
     inductor_symplectic,
     simultaneous_approx_diag,
@@ -26,7 +24,6 @@ from .freemode import (
     FreeModeReport,
     PivotError,
     ThresholdAmbiguityError,
-    block_elim_transform,
     count_free_modes,
     elimination_factors,
     expose_free_modes,
@@ -67,7 +64,6 @@ from .symplectic import (
     NotPositiveDefiniteError,
     SymplecticFactorization,
     block_williamson,
-    is_symplectic,
     symplectic_form,
     symplectic_residual,
     williamson,

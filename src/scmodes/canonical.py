@@ -113,24 +113,3 @@ def offdiag_norm(H: CircuitHamiltonian) -> float:
         total += float((mat**2).sum() - (np.diag(mat) ** 2).sum())
     return total
 
-
-def spectral_equivalence_check(
-    H: CircuitHamiltonian,
-    H2: CircuitHamiltonian,
-    k: int,
-    cutoff: int,
-) -> float:
-    """Max absolute difference of the k lowest eigenvalues at a uniform cutoff.
-
-    For H2 = apply(H, T) the difference converges to zero as the cutoff
-    grows, since the two Hamiltonians are unitarily equivalent.  Intended
-    for desk-scale systems (<= 3 modes).
-    """
-    if H.n > 3 or H2.n > 3:
-        raise ValueError("spectral_equivalence_check is limited to systems of <= 3 modes")
-    from . import spectrum
-
-    cutoffs = [cutoff] * H.n
-    e1 = spectrum.solve(H, cutoffs, k).eigenvalues
-    e2 = spectrum.solve(H2, cutoffs, k).eigenvalues
-    return float(np.abs(e1 - e2).max())

@@ -11,11 +11,10 @@ errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from . import canonical, decouple, freemode, io, spectrum
-from .model import InvalidHamiltonianError, require_valid
+from .model import InvalidHamiltonianError
 
 _ERRORS = (
     InvalidHamiltonianError,
@@ -26,67 +25,43 @@ _ERRORS = (
 )
 
 
-@dataclasses.dataclass
-class PipelineConfig:
-    """Everything that determines a spectrum-family pipeline run."""
-
-    input_path: str
-    method: str = "none"  # none | sad | ios | fs
-    free_mode_threshold: float = 1e-8
-    epsilon: float = 1e-17
-    k: int = 10
-    cutoffs: str = "adaptive"  # "adaptive", "<d>", or "<d1>,<d2>,..."
-    output_path: str | None = None
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PipelineConfig":
-        return cls(**data)
-
-
-def _parse_cutoffs(text: str, n: int):
-    if text == "adaptive":
-        return "adaptive"
-    parts = [p for p in text.split(",") if p]
+def _parse_ints(text: str) -> list[int]:
+    """A comma-separated list of positive integers, as given to --cutoff."""
     try:
-        values = [int(p) for p in parts]
+        values = [int(p) for p in text.split(",") if p]
     except ValueError as exc:
-        raise ValueError(f"bad --cutoff {text!r}: expected 'adaptive', an integer, "
+        raise ValueError(f"bad --cutoff {text!r}: expected an integer "
                          "or a comma-separated integer list") from exc
-    if any(v < 1 for v in values):
+    if not values or min(values) < 1:
         raise ValueError(f"bad --cutoff {text!r}: cutoffs must be >= 1")
-    if len(values) == 1:
-        return [values[0]] * n
-    if len(values) != n:
-        raise ValueError(f"--cutoff lists {len(values)} values for {n} modes")
     return values
 
 
-def _prepare(config: PipelineConfig):
-    """Load, validate, remove free modes, and apply the decoupling method."""
-    H = io.load_hamiltonian(config.input_path)
-    require_valid(H)
-    H_red, _, report = freemode.remove_free_modes(H, config.free_mode_threshold)
+def _prepare(args):
+    """Load, remove free modes (which validates), and apply the decoupling method."""
+    H = io.load_hamiltonian(args.input)
+    H_red, _, report = freemode.remove_free_modes(H, args.threshold)
     if report.F:
         print(f"removed {report.F} free mode(s)", file=sys.stderr)
-    if config.method != "none":
-        result = decouple.apply_method(H_red, config.method)
-        H_red = result.H_out
+    if args.method != "none":
+        H_red = decouple.apply_method(H_red, args.method).H_out
     return H_red
 
 
-def _resolve_cutoffs(H, config: PipelineConfig):
-    parsed = _parse_cutoffs(config.cutoffs, H.n)
-    if parsed == "adaptive":
-        return list(spectrum.adaptive_cutoffs(H, epsilon=config.epsilon))
-    return parsed
+def _resolve_cutoffs(H, args):
+    """Per-mode cutoffs from --cutoff: adaptive, one uniform dimension, or one per mode."""
+    if args.cutoff == "adaptive":
+        return list(spectrum.adaptive_cutoffs(H, epsilon=args.epsilon))
+    values = _parse_ints(args.cutoff)
+    if len(values) == 1:
+        return values * H.n
+    if len(values) != H.n:
+        raise ValueError(f"--cutoff lists {len(values)} values for {H.n} modes")
+    return values
 
 
 def cmd_inspect(args) -> int:
     H = io.load_hamiltonian(args.input)
-    require_valid(H)
     report = freemode.count_free_modes(H, args.threshold)
     off = canonical.offdiag_norm(H)
     print(f"n={H.n}, n_J={H.n_J}, F={report.F}, offdiag={off:.3g}")
@@ -97,7 +72,6 @@ def cmd_inspect(args) -> int:
 
 def cmd_remove_free(args) -> int:
     H = io.load_hamiltonian(args.input)
-    require_valid(H)
     H_red, T, report = freemode.remove_free_modes(H, args.threshold)
     io.save_hamiltonian(H_red, args.output)
     io.save_transform(T, _transform_path(args.output))
@@ -113,7 +87,6 @@ def _transform_path(output: str) -> str:
 
 def cmd_decouple(args) -> int:
     H = io.load_hamiltonian(args.input)
-    require_valid(H)
     if args.method == "sad":
         result = decouple.simultaneous_approx_diag(H, max_sweeps=args.max_sweeps)
     else:
@@ -129,87 +102,63 @@ def cmd_decouple(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    config = _config_from_args(args)
-    H = _prepare(config)
-    cutoffs = _resolve_cutoffs(H, config)
-    result = spectrum.solve(H, cutoffs, k=config.k)
+    H = _prepare(args)
+    cutoffs = _resolve_cutoffs(H, args)
+    result = spectrum.solve(H, cutoffs, k=args.k)
     rows = [(i, e) for i, e in enumerate(result.eigenvalues)]
-    io.write_csv(rows, header=["level", "energy"], path=config.output_path)
+    io.write_csv(rows, header=["level", "energy"], path=args.output)
     print(f"cutoffs={','.join(str(d) for d in cutoffs)}", file=sys.stderr)
     return 0
 
 
 def cmd_converge(args) -> int:
-    config = _config_from_args(args)
-    H = _prepare(config)
-    # here --cutoff lists the uniform dimensions to sweep, not per-mode values
-    if config.cutoffs == "adaptive":
-        raise ValueError("converge needs an explicit --cutoff list of uniform dimensions")
-    try:
-        d_values = sorted({int(p) for p in config.cutoffs.split(",") if p})
-    except ValueError as exc:
-        raise ValueError(
-            f"bad --cutoff {config.cutoffs!r}: expected a comma-separated list "
-            "of uniform dimensions"
-        ) from exc
-    if not d_values or min(d_values) < 1:
-        raise ValueError(f"bad --cutoff {config.cutoffs!r}: dimensions must be >= 1")
-    rows = []
-    for d, energies in spectrum.spectrum_vs_cutoff(H, config.k, d_values):
-        rows.append((d, *energies))
-    header = ["d"] + [f"E{i}" for i in range(config.k)]
-    io.write_csv(rows, header=header, path=config.output_path)
+    d_values = sorted(set(_parse_ints(args.cutoff)))
+    H = _prepare(args)
+    rows = [(d, *energies) for d, energies in spectrum.spectrum_vs_cutoff(H, args.k, d_values)]
+    header = ["d"] + [f"E{i}" for i in range(args.k)]
+    io.write_csv(rows, header=header, path=args.output)
     return 0
 
 
 def cmd_rdm(args) -> int:
-    config = _config_from_args(args)
-    H = _prepare(config)
-    cutoffs = _resolve_cutoffs(H, config)
+    H = _prepare(args)
+    cutoffs = _resolve_cutoffs(H, args)
     result = spectrum.solve(H, cutoffs, k=max(1, args.state + 1))
     rows = []
     for mode in range(H.n):
         pops = spectrum.reduced_density_matrix(result, args.state, mode).populations
         for m, p in enumerate(pops):
             rows.append((mode, m, p))
-    io.write_csv(rows, header=["mode", "m", "rho_mm"], path=config.output_path)
+    io.write_csv(rows, header=["mode", "m", "rho_mm"], path=args.output)
     return 0
 
 
 def cmd_adaptive_cutoffs(args) -> int:
-    config = _config_from_args(args)
-    H = _prepare(config)
-    cutoffs = spectrum.adaptive_cutoffs(H, epsilon=config.epsilon)
+    H = _prepare(args)
+    cutoffs = spectrum.adaptive_cutoffs(H, epsilon=args.epsilon)
     rows = [(m, d) for m, d in enumerate(cutoffs)]
-    io.write_csv(rows, header=["mode", "cutoff"], path=config.output_path)
+    io.write_csv(rows, header=["mode", "cutoff"], path=args.output)
     return 0
 
 
-def _config_from_args(args) -> PipelineConfig:
-    return PipelineConfig(
-        input_path=args.input,
-        method=getattr(args, "method", "none") or "none",
-        free_mode_threshold=args.threshold,
-        epsilon=args.epsilon,
-        k=args.k,
-        cutoffs=args.cutoff,
-        output_path=args.output,
-    )
+_OPTIONS = {
+    "--k": dict(type=int, default=10, help="number of eigenvalues"),
+    "--epsilon": dict(type=float, default=1e-17, help="adaptive-cutoff population threshold"),
+    "--cutoff": dict(default="adaptive",
+                     help="'adaptive', a uniform dimension, or a per-mode list"),
+}
 
 
-def _add_common(parser, method=True):
+def _add_common(parser, *options):
+    """Options of every spectrum-family command, plus the named ones of ``_OPTIONS``."""
     parser.add_argument("--input", required=True, help="Hamiltonian JSON file")
     parser.add_argument("--output", default=None, help="output path (default: stdout)")
-    parser.add_argument("--k", type=int, default=10, help="number of eigenvalues")
-    parser.add_argument("--epsilon", type=float, default=1e-17,
-                        help="adaptive-cutoff population threshold")
-    parser.add_argument("--cutoff", default="adaptive",
-                        help="'adaptive', a uniform dimension, or a per-mode list")
     parser.add_argument("--threshold", type=float, default=1e-8,
                         help="free-mode singular-value threshold (relative)")
-    if method:
-        parser.add_argument("--method", choices=["none", "sad", "ios", "fs"],
-                            default="none", help="decoupling method")
+    parser.add_argument("--method", choices=["none", "sad", "ios", "fs"],
+                        default="none", help="decoupling method")
+    for name in options:
+        parser.add_argument(name, **_OPTIONS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,20 +188,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decouple)
 
     p = sub.add_parser("spectrum", help="k lowest eigenvalues as CSV")
-    _add_common(p)
+    _add_common(p, "--k", "--epsilon", "--cutoff")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("converge", help="eigenvalues vs uniform cutoff as CSV")
-    _add_common(p)
+    _add_common(p, "--k")
+    p.add_argument("--cutoff", required=True,
+                   help="comma-separated uniform dimensions to sweep")
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("rdm", help="reduced-density-matrix diagonals as CSV")
-    _add_common(p)
+    _add_common(p, "--epsilon", "--cutoff")
     p.add_argument("--state", type=int, default=0, help="eigenstate index")
     p.set_defaults(func=cmd_rdm)
 
     p = sub.add_parser("adaptive-cutoffs", help="per-mode adaptive cutoffs as CSV")
-    _add_common(p)
+    _add_common(p, "--epsilon")
     p.set_defaults(func=cmd_adaptive_cutoffs)
 
     return parser

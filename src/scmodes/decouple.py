@@ -12,10 +12,6 @@ spectrum preserving:
 * full symplectic diagonalization (FS): block Williamson on
   (M0, C_inv), which removes every quadratic coupling at the price of
   spreading the junction cosines over all modes.
-
-The cosine of a multi-mode argument splits into per-mode local cosines
-plus a residual coupling term; :func:`cosine_split` performs that split
-for one junction row.
 """
 
 from __future__ import annotations
@@ -27,7 +23,6 @@ import numpy as np
 
 from . import canonical, symplectic
 from .model import CircuitHamiltonian, require_valid
-from .spectrum import CosineCoupling, split_cosine_row
 
 SAD_MAX_SWEEPS = 100
 SAD_ANGLE_TOL = 1e-12
@@ -185,18 +180,3 @@ def apply_method(H: CircuitHamiltonian, method: DecoupleMethod | str, **kwargs) 
         return inductor_symplectic(H)
     return full_symplectic(H)
 
-
-def cosine_split(
-    J_row: np.ndarray, E_J: float, sign: float
-) -> tuple[list[tuple[int, float]], CosineCoupling | None]:
-    """Split one junction cosine into local terms and a coupling descriptor.
-
-    The Hamiltonian term is -sign * E_J * cos(sum_j a_j phi_j).  The local
-    part contributes -sign * E_J * cos(a_j phi_j) for every mode with a
-    nonzero coefficient; the residual coupling
-    -sign * E_J * [cos(sum_j a_j phi_j) - sum_j cos(a_j phi_j)]
-    is returned as a descriptor for the spectrum module, or None when at
-    most one coefficient survives (the residual vanishes identically).
-    Coefficients below 1e-10 are dropped from both parts.
-    """
-    return split_cosine_row(np.asarray(J_row, dtype=float), float(E_J), float(sign))

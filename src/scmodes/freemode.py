@@ -206,34 +206,6 @@ def gaussian_elim_transform(
     return canonical.CanonicalTransform(np.linalg.inv(G.T), G.T)
 
 
-def block_elim_transform(
-    H_exposed: CircuitHamiltonian, F: int
-) -> canonical.CanonicalTransform:
-    """One-shot Schur-complement form of the elimination.
-
-    With C = C_inv^-1 partitioned as [[A, X], [X^T, B]] over
-    (free, non-free), the transform with (W^T)^-1 = [[I, 0], [-X^T A^-1, I]]
-    removes every coupling between free and non-free modes in one shot.
-    Unlike the iterative elimination it does not diagonalize the couplings
-    among the free modes themselves; the off-free-block row -X^T A^-1 and
-    the action on the kept modes are identical for both constructions, and
-    the free-free mixing is discarded with the free modes anyway.
-    """
-    n = H_exposed.n
-    if F == 0:
-        return canonical.CanonicalTransform.identity(n)
-    require_valid(H_exposed)
-    C = np.linalg.inv(H_exposed.C_inv)
-    A = C[:F, :F]
-    X = C[:F, F:]
-    floor = 1e-12 * np.linalg.norm(C, 2)
-    if np.linalg.eigvalsh((A + A.T) / 2.0)[0] <= floor:
-        raise PivotError("free-block of the capacitance matrix is not safely positive definite")
-    G = np.eye(n)  # (W^T)^-1
-    G[F:, :F] = -X.T @ np.linalg.inv(A)
-    return canonical.CanonicalTransform(np.linalg.inv(G.T), G.T)
-
-
 def remove_free_modes(
     H: CircuitHamiltonian, threshold: float = DEFAULT_THRESHOLD
 ) -> tuple[CircuitHamiltonian, canonical.CanonicalTransform, FreeModeReport]:

@@ -55,7 +55,7 @@ class EigensolverConvergenceError(RuntimeError):
 
 
 class CutoffLimitError(RuntimeError):
-    """Adaptive cutoff search hit d_max on some mode."""
+    """Adaptive cutoff search hit d_max on some mode, or ran out of rounds."""
 
 
 @dataclass(frozen=True)
@@ -125,15 +125,11 @@ class LocalMode:
         return self.energies.shape[0]
 
     def phase_factor(self, a: float) -> np.ndarray:
+        """exp(i*a*phi) for a key ``a`` or ``-a`` taken from the same ``J_args`` entry."""
         if a in self.phase_factors:
             return self.phase_factors[a]
         if -a in self.phase_factors:
             return self.phase_factors[-a].conj().T
-        for key, mat in self.phase_factors.items():
-            if np.isclose(key, a, rtol=1e-12, atol=1e-15):
-                return mat
-            if np.isclose(-key, a, rtol=1e-12, atol=1e-15):
-                return mat.conj().T
         raise BasisMismatchError(
             f"mode {self.mode_index} has no phase factor for coefficient {a!r}"
         )
@@ -395,18 +391,6 @@ class ProductOperator:
             dtype=self.dtype,
         )
 
-    def hermiticity_residual(self, rng=None, trials: int = 4) -> float:
-        """max |<u, H v> - <H u, v>| over random unit vector pairs."""
-        rng = rng or np.random.default_rng(0)
-        worst = 0.0
-        for _ in range(trials):
-            u = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-            v = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-            u /= np.linalg.norm(u)
-            v /= np.linalg.norm(v)
-            worst = max(worst, abs(np.vdot(u, self.matvec(v)) - np.vdot(self.matvec(u), v)))
-        return worst
-
 
 def assemble_hamiltonian(
     locals_: list[LocalMode],
@@ -630,8 +614,8 @@ def adaptive_cutoffs(
     d_max, beyond which the offending mode raises), otherwise the minimal
     d with all populations at indices >= d below epsilon becomes its
     target.  Working dimensions then sit one state above the targets so
-    the criterion stays observable, and the rounds stop at a fixed point
-    or after ``max_rounds``.
+    the criterion stays observable, and the rounds stop at a fixed point;
+    ``max_rounds`` without one raises :class:`CutoffLimitError`.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -673,7 +657,9 @@ def adaptive_cutoffs(
         if targets == prev_targets:
             return tuple(targets)
         prev_targets = targets
-    return tuple(targets)
+    raise CutoffLimitError(
+        f"no fixed point after {max_rounds} rounds; last targets {tuple(targets)}"
+    )
 
 
 def spectrum_vs_cutoff(H: CircuitHamiltonian, k: int, d_values) -> list[tuple[int, np.ndarray]]:

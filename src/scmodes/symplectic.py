@@ -47,10 +47,6 @@ def symplectic_residual(S: np.ndarray) -> float:
     return float(np.abs(S.T @ O @ S - O).max())
 
 
-def is_symplectic(S: np.ndarray, tol: float = 1e-8) -> bool:
-    return symplectic_residual(S) <= tol
-
-
 def _eigh_power(M: np.ndarray, power: float, name: str) -> np.ndarray:
     """M^power via symmetric eigendecomposition; requires M positive definite."""
     w, V = np.linalg.eigh(M)

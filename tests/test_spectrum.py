@@ -21,6 +21,8 @@ from scmodes.spectrum import (
     spectrum_vs_cutoff,
 )
 
+from conftest import hermiticity_residual
+
 TABLE_ENERGIES = [-0.999, -0.00981, 0.979, 1.88, 1.97, 2.87, 2.96, 3.32, 3.85, 3.95]
 
 
@@ -141,6 +143,16 @@ def test_phase_factor_unitarity():
     np.testing.assert_allclose(product[:8, :8], np.eye(30)[:8, :8], atol=1e-6)
 
 
+def test_phase_factor_needs_exact_key():
+    H = CircuitHamiltonian.create(
+        kinds=[ModeKind.JUNCTION], C_inv=np.array([[3.0]]), M0=np.array([[1.5]]),
+        E_J=[2.0],
+    )
+    loc = build_local_mode(H, 0, primitive_dim=60, keep=10)
+    with pytest.raises(BasisMismatchError, match="no phase factor"):
+        loc.phase_factor(1.0 + 1e-13)
+
+
 def test_commutator_on_primitive_basis():
     # [phi, n] = i on the harmonic primitive basis except the last corner
     dim = 30
@@ -204,25 +216,49 @@ def test_two_mode_quadratic_matches_dense_kron():
     )
 
 
-def test_cosine_coupling_matches_dense_kron(fluxonium):
+def charge_harmonic_pair():
+    """Junction row [1.0, 0.7] over a charge-basis mode and a harmonic mode.
+
+    The charge mode's phase factor is not symmetric, so the coupled cosine
+    takes the product-plus-conjugate path and the operator is complex.
+    """
+    H = CircuitHamiltonian.create(
+        kinds=[ModeKind.JUNCTION, ModeKind.INDUCTOR],
+        C_inv=np.diag([4.0, 2.0]),
+        M0=np.diag([0.0, 1.5]),
+        E_J=[1.5],
+    )
+    return H.replace(J_args=np.array([[1.0, 0.7]]))
+
+
+@pytest.mark.parametrize(
+    "case,dims,dtype",
+    [("fluxonium-fs", [6, 6, 4, 3, 2], np.float64), ("charge-harmonic", [7, 8], np.complex128)],
+    ids=["fluxonium-fs", "charge-harmonic"],
+)
+def test_cosine_coupling_matches_dense_kron(fluxonium, case, dims, dtype):
     # junction arguments spread over two modes exercise the phase-factor path
-    Hfs = scmodes.full_symplectic(fluxonium).H_out
-    builder = make_locals_builder(Hfs)
-    locs = [builder(m, d) for m, d in enumerate([6, 6, 4, 3, 2])]
-    couplings = CouplingSet.from_hamiltonian(Hfs)
-    op = assemble_hamiltonian(locs, Hfs, couplings)
+    if case == "fluxonium-fs":
+        H = scmodes.full_symplectic(fluxonium).H_out
+    else:
+        H = charge_harmonic_pair()
+    builder = make_locals_builder(H)
+    locs = [builder(m, d) for m, d in enumerate(dims)]
+    couplings = CouplingSet.from_hamiltonian(H)
+    op = assemble_hamiltonian(locs, H, couplings)
+    assert op.dtype == dtype
 
     mats = [np.diag(l.energies).astype(complex) for l in locs]
     eyes = [np.eye(l.dim) for l in locs]
 
     def embed(matrix_by_mode):
         out = None
-        for m in range(5):
+        for m in range(len(locs)):
             factor = matrix_by_mode.get(m, eyes[m])
             out = factor if out is None else np.kron(out, factor)
         return out
 
-    dense = sum(embed({m: mats[m]}) for m in range(5))
+    dense = sum(embed({m: mats[m]}) for m in range(len(locs)))
     for cc in couplings.cosines:
         pre = -cc.sign * cc.energy
         prod = embed({m: locs[m].phase_factor(a) for m, a in zip(cc.modes, cc.coeffs)})
@@ -241,14 +277,14 @@ def test_assembled_operator_is_hermitian(cpb, fluxonium):
     builder = make_locals_builder(H_red)
     locs = [builder(m, 8) for m in range(2)]
     op = assemble_hamiltonian(locs, H_red, CouplingSet.from_hamiltonian(H_red))
-    assert op.hermiticity_residual() < 1e-8
+    assert hermiticity_residual(op) < 1e-8
 
     Hfs = scmodes.full_symplectic(fluxonium).H_out
     builder = make_locals_builder(Hfs)
     locs = [builder(m, 5) for m in range(5)]
     op = assemble_hamiltonian(locs, Hfs, CouplingSet.from_hamiltonian(Hfs))
     assert op.dtype == np.float64  # drive-free all-harmonic case stays real
-    assert op.hermiticity_residual() < 1e-8
+    assert hermiticity_residual(op) < 1e-8
 
 
 def test_flux_coupling_to_charge_mode_rejected(cpb):
@@ -382,6 +418,12 @@ def test_adaptive_reports_offending_mode():
         adaptive_cutoffs(H, epsilon=1e-30, d_init=2, d_max=4)
 
 
+def test_adaptive_without_fixed_point_raises():
+    H = coupled_pair(c01=0.9, m01=0.5)
+    with pytest.raises(spectrum.CutoffLimitError, match="fixed point"):
+        adaptive_cutoffs(H, epsilon=1e-10, d_init=4, d_max=32, max_rounds=1)
+
+
 # ---------------------------------------------------------------------------
 # convergence tables
 # ---------------------------------------------------------------------------
@@ -429,7 +471,7 @@ def test_drive_term_produces_complex_operator(cpb):
     builder = make_locals_builder(H_drive)
     locs = [builder(m, 6) for m in range(2)]
     op = assemble_hamiltonian(locs, H_drive, CouplingSet.from_hamiltonian(H_drive))
-    assert op.hermiticity_residual() < 1e-8
+    assert hermiticity_residual(op) < 1e-8
     res = eigensolve(op, k=3)
     ref = eigensolve(
         assemble_hamiltonian(

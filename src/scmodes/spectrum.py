@@ -35,6 +35,10 @@ COUPLING_DROP_RTOL = 1e-12
 
 DENSE_LIMIT = 4096
 
+# An eigenpair whose residual ||H v - E v|| exceeds this many solver
+# tolerances (at least machine epsilon), times max(1, |E|), is rejected.
+RESIDUAL_FACTOR = 100
+
 _HO_DEFAULT_DIM = 200
 _CHARGE_DEFAULT_MAX = 40
 
@@ -47,7 +51,8 @@ class BasisMismatchError(ValueError):
 
 
 class EigensolverConvergenceError(RuntimeError):
-    """Iterative eigensolve failed to converge; carries the best residuals."""
+    """An eigensolve did not converge or returned pairs with residuals above
+    the bound; carries the residuals of the pairs it has."""
 
     def __init__(self, message, residuals=None):
         super().__init__(message)
@@ -381,7 +386,12 @@ class ProductOperator:
         return self._apply(psi, batched=True).reshape(self.dim, batch)
 
     def to_dense(self) -> np.ndarray:
-        return self.matmat(np.eye(self.dim, dtype=self.dtype))
+        """The matrix in the product basis, of the operator's dtype.
+
+        The identity is real so that real factors are applied in real
+        arithmetic, and each ``real_part`` term once instead of to two parts.
+        """
+        return self.matmat(np.eye(self.dim))
 
     def aslinearoperator(self) -> scipy.sparse.linalg.LinearOperator:
         return scipy.sparse.linalg.LinearOperator(
@@ -475,17 +485,28 @@ class SpectrumResult:
     residuals: np.ndarray     # (k,) ||H v - E v||
 
 
+def _residuals(op: ProductOperator, evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
+    """||H v - E v|| for each column v of ``evecs``."""
+    return np.linalg.norm(op.matmat(evecs) - evecs * evals, axis=0)
+
+
 def eigensolve(
     op: ProductOperator, k: int, tol: float = 1e-9, ncv: int | None = None
 ) -> SpectrumResult:
-    """k lowest eigenpairs: dense below DENSE_LIMIT, otherwise ARPACK."""
+    """k lowest eigenpairs: dense below DENSE_LIMIT, otherwise ARPACK.
+
+    Raises :class:`EigensolverConvergenceError` when ARPACK does not
+    converge or when a returned pair's residual exceeds
+    RESIDUAL_FACTOR * max(tol, eps) * max(1, |E|).
+    """
     if op.dim < k:
         raise ValueError(f"operator dimension {op.dim} is smaller than k = {k}")
     if op.dim <= DENSE_LIMIT or k >= op.dim - 1:
         dense = op.to_dense()
-        dense = (dense + dense.conj().T) / 2.0
-        evals, evecs = scipy.linalg.eigh(dense)
-        evals, evecs = evals[:k], evecs[:, :k]
+        # (H + H^H)/2 in place, with one full-size temporary instead of two
+        dense += dense.conj().T
+        dense *= 0.5
+        evals, evecs = scipy.linalg.eigh(dense, overwrite_a=True, subset_by_index=[0, k - 1])
     else:
         ncv = ncv or min(op.dim, max(2 * k + 1, 40))
         maxiter = max(100, (10 * op.dim) // max(ncv - k, 1))
@@ -500,12 +521,7 @@ def eigensolve(
             got = exc.eigenvalues
             res = None
             if exc.eigenvectors is not None and exc.eigenvectors.size:
-                res = np.array(
-                    [
-                        np.linalg.norm(op.matvec(v) - e * v)
-                        for e, v in zip(got, exc.eigenvectors.T)
-                    ]
-                )
+                res = _residuals(op, got, exc.eigenvectors)
             raise EigensolverConvergenceError(
                 f"ARPACK did not converge within {maxiter} iterations "
                 f"({len(got)} of {k} eigenpairs found)",
@@ -513,11 +529,16 @@ def eigensolve(
             ) from exc
         order = np.argsort(evals)
         evals, evecs = evals[order], evecs[:, order]
-    norms = np.linalg.norm(evecs, axis=0)
-    evecs = evecs / norms
-    residuals = np.array(
-        [np.linalg.norm(op.matvec(evecs[:, i]) - evals[i] * evecs[:, i]) for i in range(k)]
-    )
+    evecs = evecs / np.linalg.norm(evecs, axis=0)
+    residuals = _residuals(op, evals, evecs)
+    limit = RESIDUAL_FACTOR * max(tol, np.finfo(float).eps) * np.maximum(1.0, np.abs(evals))
+    bad = np.nonzero(residuals > limit)[0]
+    if bad.size:
+        raise EigensolverConvergenceError(
+            f"eigenpair residuals {residuals[bad]} at levels {bad.tolist()} "
+            f"exceed {limit[bad]} (cutoffs {op.dims})",
+            residuals=residuals,
+        )
     return SpectrumResult(
         eigenvalues=np.asarray(evals, dtype=float),
         eigenvectors=evecs,

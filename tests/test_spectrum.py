@@ -11,6 +11,7 @@ from scmodes.spectrum import (
     BasisMismatchError,
     ChargeBasis,
     CouplingSet,
+    EigensolverConvergenceError,
     HarmonicBasis,
     adaptive_cutoffs,
     assemble_hamiltonian,
@@ -344,6 +345,90 @@ def test_eigensolve_rejects_k_above_dimension():
     H = coupled_pair()
     with pytest.raises(ValueError):
         scmodes.solve(H, [2, 2], k=5)
+
+
+def assembled(H, dims):
+    builder = make_locals_builder(H)
+    locs = [builder(m, d) for m, d in enumerate(dims)]
+    return assemble_hamiltonian(locs, H, CouplingSet.from_hamiltonian(H))
+
+
+def small_operator(case, fluxonium, cpb):
+    """A dense-branch operator: real (fs fluxonium) or complex (the CPB's
+    imaginary charge coupling; the charge-harmonic pair's real-part cosine)."""
+    if case == "fs":
+        return assembled(scmodes.full_symplectic(fluxonium).H_out, [4, 3, 3, 2, 2])
+    if case == "cpb":
+        return assembled(scmodes.remove_free_modes(cpb)[0], [8, 6])
+    return assembled(charge_harmonic_pair(), [6, 8])
+
+
+def projector(vectors):
+    return vectors @ vectors.conj().T
+
+
+@pytest.mark.parametrize(
+    "case,dtype",
+    [("fs", np.float64), ("cpb", np.complex128), ("charge-harmonic", np.complex128)],
+    ids=["real-fs", "complex-cpb", "complex-charge-harmonic"],
+)
+@pytest.mark.parametrize("k_from_dim", [lambda d: 3, lambda d: d - 1, lambda d: d],
+                         ids=["k=3", "k=dim-1", "k=dim"])
+def test_dense_branch_matches_full_eigh(fluxonium, cpb, case, dtype, k_from_dim):
+    op = small_operator(case, fluxonium, cpb)
+    assert op.dtype == dtype and op.dim <= spectrum.DENSE_LIMIT
+    k = k_from_dim(op.dim)
+    ref_vals, ref_vecs = np.linalg.eigh(op.to_dense())
+    res = eigensolve(op, k=k)
+    assert res.eigenvalues.shape == (k,) and res.eigenvectors.shape == (op.dim, k)
+    np.testing.assert_allclose(res.eigenvalues, ref_vals[:k], rtol=1e-12, atol=1e-10)
+    if k < op.dim:
+        assert ref_vals[k] - ref_vals[k - 1] > 1e-6  # the span of the k lowest is defined
+    np.testing.assert_allclose(
+        projector(res.eigenvectors), projector(ref_vecs[:, :k]), atol=1e-8)
+
+
+def test_dense_branch_returns_both_degenerate_levels():
+    # two identical oscillators: levels 1, 2, 2, 3, 3, 3, ... (units of the frequency)
+    H = CircuitHamiltonian.create(
+        kinds=[ModeKind.INDUCTOR] * 2, C_inv=np.eye(2), M0=np.eye(2)
+    )
+    op = assembled(H, [4, 4])
+    res = eigensolve(op, k=3)
+    np.testing.assert_allclose(res.eigenvalues, [1.0, 2.0, 2.0], atol=1e-8)
+    ref_vals, ref_vecs = np.linalg.eigh(op.to_dense())
+    assert ref_vals[3] - ref_vals[2] > 0.5
+    np.testing.assert_allclose(
+        projector(res.eigenvectors), projector(ref_vecs[:, :3]), atol=1e-8)
+
+
+@pytest.mark.parametrize("case", ["cpb", "charge-harmonic"])
+def test_to_dense_of_complex_operator_equals_complex_identity_product(fluxonium, cpb, case):
+    op = small_operator(case, fluxonium, cpb)
+    dense = op.to_dense()
+    assert dense.dtype == np.complex128
+    np.testing.assert_array_equal(dense, op.matmat(np.eye(op.dim, dtype=complex)))
+
+
+def test_to_dense_of_real_operator_is_real(fluxonium, cpb):
+    assert small_operator("fs", fluxonium, cpb).to_dense().dtype == np.float64
+
+
+def test_eigensolve_rejects_large_residual(monkeypatch):
+    op = assembled(coupled_pair(), [6, 6])
+    exact_eigh = spectrum.scipy.linalg.eigh
+
+    def shifted_eigh(*args, **kwargs):
+        evals, evecs = exact_eigh(*args, **kwargs)
+        return evals + np.array([0.0, 1e-3, 0.0]), evecs
+
+    monkeypatch.setattr(spectrum.scipy.linalg, "eigh", shifted_eigh)
+    with pytest.raises(EigensolverConvergenceError, match="levels \\[1\\]") as info:
+        eigensolve(op, k=3)
+    residuals = info.value.residuals
+    assert residuals.shape == (3,)
+    np.testing.assert_allclose(residuals[1], 1e-3, rtol=1e-6)
+    assert residuals[0] < 1e-10 and residuals[2] < 1e-10
 
 
 # ---------------------------------------------------------------------------

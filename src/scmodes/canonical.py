@@ -103,13 +103,15 @@ def apply(H: CircuitHamiltonian, T: CanonicalTransform) -> CircuitHamiltonian:
     )
 
 
+def offdiag_sq(mats) -> float:
+    """Sum of squared off-diagonal entries of the given matrices."""
+    return sum(float((m**2).sum() - (np.diag(m) ** 2).sum()) for m in mats)
+
+
 def offdiag_norm(H: CircuitHamiltonian) -> float:
     """Sum of squared off-diagonal entries of C_inv and M0.
 
     This is the figure of merit that the decoupling techniques reduce.
     """
-    total = 0.0
-    for mat in (H.C_inv, H.M0):
-        total += float((mat**2).sum() - (np.diag(mat) ** 2).sum())
-    return total
+    return offdiag_sq((H.C_inv, H.M0))
 

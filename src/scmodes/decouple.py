@@ -71,14 +71,9 @@ def jacobi_pair_angle(mats, p: int, q: int) -> float:
     return 0.5 * np.arctan2(toff, ton + np.hypot(ton, toff))
 
 
-def _offdiag_sq(mats) -> float:
-    return sum(float((m**2).sum() - (np.diag(m) ** 2).sum()) for m in mats)
-
-
 def simultaneous_approx_diag(
     H: CircuitHamiltonian,
     max_sweeps: int = SAD_MAX_SWEEPS,
-    angle_tol: float = SAD_ANGLE_TOL,
     on_rotation=None,
 ) -> DecoupleResult:
     """Jointly diagonalize M0 and C_inv by orthogonal Jacobi sweeps.
@@ -86,7 +81,7 @@ def simultaneous_approx_diag(
     Rotation axes are restricted to inductor-mode pairs (lexicographic
     sweep order) so that junction fluxes are never mixed and the cosine
     terms stay local.  Sweeps stop once every rotation angle in a sweep
-    falls below ``angle_tol``; hitting ``max_sweeps`` is reported through
+    falls below ``SAD_ANGLE_TOL``; hitting ``max_sweeps`` is reported through
     ``iterations``, not an error.  ``on_rotation``, if given, is called
     with the off-diagonal objective after every applied rotation.
     """
@@ -104,7 +99,7 @@ def simultaneous_approx_diag(
         rotated = False
         for p, q in pairs:
             theta = jacobi_pair_angle(mats, p, q)
-            if abs(theta) < angle_tol:
+            if abs(theta) < SAD_ANGLE_TOL:
                 continue
             rotated = True
             c, s = np.cos(theta), np.sin(theta)
@@ -119,7 +114,7 @@ def simultaneous_approx_diag(
             rows_q = -s * W[p, :] + c * W[q, :]
             W[p, :], W[q, :] = rows_p, rows_q
             if on_rotation is not None:
-                on_rotation(_offdiag_sq(mats))
+                on_rotation(canonical.offdiag_sq(mats))
         if not rotated:
             break
         sweeps_used += 1

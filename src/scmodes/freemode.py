@@ -45,7 +45,6 @@ class FreeModeReport:
 
     F: int
     basis: np.ndarray  # (n, F), orthonormal columns
-    threshold_used: float
 
 
 def _kernel_projector(mat: np.ndarray, threshold: float, name: str) -> np.ndarray:
@@ -99,7 +98,7 @@ def count_free_modes(
     members = evals > _CLUSTER_CUT
     F = int(members.sum())
     if F == 0:
-        return FreeModeReport(F=0, basis=np.zeros((n, 0)), threshold_used=threshold)
+        return FreeModeReport(F=0, basis=np.zeros((n, 0)))
 
     basis = evecs[:, members]
     for _ in range(_POLISH_ROUNDS):
@@ -110,7 +109,7 @@ def count_free_modes(
     signs = np.sign(basis[picks, np.arange(F)])
     signs[signs == 0] = 1.0
     basis = basis * signs
-    return FreeModeReport(F=F, basis=basis, threshold_used=threshold)
+    return FreeModeReport(F=F, basis=basis)
 
 
 def expose_free_modes(

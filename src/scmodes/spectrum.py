@@ -10,9 +10,12 @@ solved densely, larger ones go through ARPACK.
 Couplings come in two kinds: quadratic charge/flux pairs from the
 off-diagonal entries of C_inv and M0, and residual cosine couplings
 cos(sum_j a_j phi_j) - sum_j cos(a_j phi_j) produced when a junction
-argument spreads over several modes.  The multi-mode cosine is
-represented through per-mode phase factors exp(i a phi), keeping every
-term a tensor product of local operators.
+argument spreads over several modes.  Every term of the operator is
+coeff * X or coeff * (X + X^H)/2 with X a tensor product of local
+operators: a quadratic coupling is the first kind, a multi-mode cosine
+the second, with X the product of per-mode phase factors exp(i a phi).
+The single-mode parts of all cosine couplings are summed into one
+matrix per mode.
 """
 
 from __future__ import annotations
@@ -113,8 +116,9 @@ class LocalMode:
     ``phase_factors[a]`` holds exp(i*a*phi) projected onto the retained
     eigenstates; exp(-i*a*phi) is its conjugate transpose.  ``phi_op`` is
     None for charge-basis modes, whose compact phase has no flux operator.
-    ``real_basis`` records whether the retained eigenvectors are real,
-    which the assembler exploits to keep the product operator real.
+    ``real_basis`` records whether the retained eigenvectors are real; the
+    assembler does not read it (it inspects the matrices), but the flop
+    model of ``bench/layers.py`` does.
     """
 
     mode_index: int
@@ -307,31 +311,56 @@ class CouplingSet:
         return cls(charge=pairs(H.C_inv), flux=pairs(H.M0), cosines=tuple(cosines))
 
 
-def _apply_local(mat: np.ndarray, psi: np.ndarray, axis: int) -> np.ndarray:
-    out = np.tensordot(mat, psi, axes=([1], [axis]))
-    return np.moveaxis(out, 0, axis)
+def _apply_factors(factors, psi: np.ndarray) -> np.ndarray:
+    """prod_j mat_j applied to psi, each mat_j along axis_j."""
+    for axis, mat in factors:
+        psi = np.moveaxis(np.tensordot(mat, psi, axes=([1], [axis])), 0, axis)
+    return psi
 
 
-@dataclass(frozen=True)
+def _phase_split(mat: np.ndarray) -> tuple[complex, np.ndarray]:
+    """(phase, A) with mat = phase * A, A real when mat is real or imaginary.
+
+    Folding the phase of n = i*A into a coefficient keeps the factor real.
+    """
+    if np.isrealobj(mat):
+        return 1.0, np.ascontiguousarray(mat)
+    floor = 1e-14 * max(1.0, np.abs(mat).max())
+    if np.abs(mat.real).max() <= floor:
+        return 1j, np.ascontiguousarray(mat.imag)
+    if np.abs(mat.imag).max() <= floor:
+        return 1.0, np.ascontiguousarray(mat.real)
+    return 1.0, mat
+
+
 class _Term:
-    """One tensor-product term: coeff * prod_j mat_j acting on axis_j.
+    """coeff * X, or coeff * (X + X^H)/2 given ``adjoint``; X = prod_j mat_j on axis_j.
 
-    With ``real_part`` set the term represents coeff * Re(prod_j mat_j),
-    valid when every factor is complex symmetric so that the real part
-    equals the Hermitian average (prod + h.c.)/2.  Applying the complex
-    product once and discarding the imaginary part is much cheaper than
-    expanding the product into real factors.
+    ``adjoint`` lists the conjugate transposes of ``factors``.  When every
+    factor is complex symmetric, X^H = conj(X), so on a real vector the
+    term is coeff * Re(X psi): one complex product instead of two.
     """
 
-    coeff: complex
-    factors: tuple[tuple[int, np.ndarray], ...]
-    real_part: bool = False
+    def __init__(self, coeff, factors, adjoint=None, symmetric=False):
+        self.coeff = coeff.real if coeff.imag == 0.0 else coeff
+        self.factors = factors
+        self.adjoint = adjoint
+        self.symmetric = symmetric
 
     @property
     def is_real(self) -> bool:
-        if self.real_part:
-            return True
-        return self.coeff.imag == 0.0 and all(np.isrealobj(m) for _, m in self.factors)
+        return np.isrealobj(self.coeff) and (
+            self.symmetric or all(np.isrealobj(m) for _, m in self.factors)
+        )
+
+    def apply(self, psi: np.ndarray) -> np.ndarray:
+        w = _apply_factors(self.factors, psi)
+        if self.adjoint is None:
+            return self.coeff * w
+        if self.symmetric and np.isrealobj(psi):
+            return self.coeff * w.real
+        w += _apply_factors(self.adjoint, psi)
+        return (0.5 * self.coeff) * w
 
 
 class ProductOperator:
@@ -339,57 +368,37 @@ class ProductOperator:
 
     Holds a diagonal (the summed local energies) plus a list of terms,
     each a scalar coefficient times a tensor product of per-mode
-    matrices.  Real throughout whenever every ingredient is real.
+    matrices, or the Hermitian part of one.  Real throughout whenever
+    every term is.
     """
 
     def __init__(self, dims, diag, terms, dtype):
         self.dims = tuple(int(d) for d in dims)
         self.dim = int(np.prod(self.dims))
         self.dtype = dtype
-        self._diag = diag  # ndarray shaped ``dims``
+        self._diag = diag[..., np.newaxis]  # shaped ``dims + (1,)``
         self._terms = terms  # list[_Term]
 
-    def _product(self, term: _Term, psi: np.ndarray) -> np.ndarray:
-        w = psi
-        for axis, mat in term.factors:
-            w = _apply_local(mat, w, axis)
-        return w
-
-    def _apply_term(self, term: _Term, psi: np.ndarray) -> np.ndarray:
-        if not term.real_part:
-            coeff = term.coeff.real if term.coeff.imag == 0.0 else term.coeff
-            return coeff * self._product(term, psi)
-        if np.isrealobj(psi):
-            return term.coeff.real * self._product(term, psi).real
-        # Re(prod) is a real matrix; apply it to real and imaginary parts.
-        return term.coeff.real * (
-            self._product(term, psi.real).real
-            + 1j * self._product(term, psi.imag).real
-        )
-
-    def _apply(self, psi: np.ndarray, batched: bool = False) -> np.ndarray:
-        diag = self._diag[..., np.newaxis] if batched else self._diag
+    def _apply(self, psi: np.ndarray) -> np.ndarray:
+        """H psi for psi shaped ``dims + (batch,)``."""
         out_dtype = np.promote_types(self.dtype, psi.dtype)
-        out = (diag * psi).astype(out_dtype, copy=False)
+        out = (self._diag * psi).astype(out_dtype, copy=False)
         for term in self._terms:
-            out += self._apply_term(term, psi)
+            out += term.apply(psi)
         return out
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        psi = np.asarray(v).reshape(self.dims)
-        return self._apply(psi).reshape(-1)
+        return self._apply(np.asarray(v).reshape(self.dims + (1,))).reshape(-1)
 
     def matmat(self, V: np.ndarray) -> np.ndarray:
         V = np.asarray(V)
-        batch = V.shape[1]
-        psi = V.reshape(self.dims + (batch,))
-        return self._apply(psi, batched=True).reshape(self.dim, batch)
+        return self._apply(V.reshape(self.dims + (V.shape[1],))).reshape(self.dim, -1)
 
     def to_dense(self) -> np.ndarray:
         """The matrix in the product basis, of the operator's dtype.
 
         The identity is real so that real factors are applied in real
-        arithmetic, and each ``real_part`` term once instead of to two parts.
+        arithmetic, and each symmetric cosine term as one product.
         """
         return self.matmat(np.eye(self.dim))
 
@@ -420,58 +429,37 @@ def assemble_hamiltonian(
         diag = diag + loc.energies.reshape(shape)
 
     terms: list[_Term] = []
+    for attr, pairs in (("n_op", couplings.charge), ("phi_op", couplings.flux)):
+        for i, j, coeff in pairs:
+            factors = []
+            for mode in (i, j):
+                op = getattr(locals_[mode], attr)
+                if op is None:
+                    raise BasisMismatchError(
+                        f"flux coupling ({i}, {j}) touches charge-basis mode {mode}, "
+                        "which has no flux operator"
+                    )
+                phase, mat = _phase_split(op)
+                coeff *= phase
+                factors.append((mode, mat))
+            terms.append(_Term(coeff, tuple(factors)))
 
-    def imagish(mat):
-        return np.abs(mat.real).max() <= 1e-14 * max(1.0, np.abs(mat).max())
-
-    def realish(mat):
-        return np.isrealobj(mat) or np.abs(mat.imag).max() <= 1e-14 * max(1.0, np.abs(mat).max())
-
-    def symmetric(mat):
-        return np.abs(mat - mat.T).max() <= 1e-12 * max(1.0, np.abs(mat).max())
-
-    for i, j, v in couplings.charge:
-        coeff = complex(v)
-        factors = []
-        for mode in (i, j):
-            op = locals_[mode].n_op
-            if imagish(op):
-                # n = i * A with A real: fold the phase into the coefficient.
-                coeff *= 1j
-                factors.append((mode, np.ascontiguousarray(op.imag)))
-            elif realish(op):
-                factors.append((mode, np.ascontiguousarray(op.real)))
-            else:
-                factors.append((mode, op))
-        terms.append(_Term(coeff, tuple(factors)))
-
-    for i, j, v in couplings.flux:
-        factors = []
-        for mode in (i, j):
-            op = locals_[mode].phi_op
-            if op is None:
-                raise BasisMismatchError(
-                    f"flux coupling ({i}, {j}) touches charge-basis mode {mode}, "
-                    "which has no flux operator"
-                )
-            factors.append((mode, np.ascontiguousarray(op.real) if realish(op) else op))
-        terms.append(_Term(complex(v), tuple(factors)))
-
+    # pre * [(X + X^H)/2 - sum_j (e_j + e_j^H)/2] per cosine row, X = prod_j e_j;
+    # the single-mode parts are summed into one matrix per mode.
+    single = {}
     for cc in couplings.cosines:
         pre = -cc.sign * cc.energy
-        raw = [(m, locals_[m].phase_factor(a)) for m, a in zip(cc.modes, cc.coeffs)]
-        if all(symmetric(e) for _, e in raw):
-            # (prod + h.c.)/2 = Re(prod) for symmetric factors: the coupled
-            # cosine costs one complex product application per junction row.
-            terms.append(_Term(complex(pre), tuple(raw), real_part=True))
-            for m, e in raw:
-                terms.append(_Term(complex(-pre), ((m, np.ascontiguousarray(e.real)),)))
-        else:
-            terms.append(_Term(complex(pre / 2), tuple(raw)))
-            terms.append(_Term(complex(pre / 2), tuple((m, e.conj().T) for m, e in raw)))
-            for m, e in raw:
-                terms.append(_Term(complex(-pre / 2), ((m, e),)))
-                terms.append(_Term(complex(-pre / 2), ((m, e.conj().T),)))
+        factors = tuple((m, locals_[m].phase_factor(a)) for m, a in zip(cc.modes, cc.coeffs))
+        symmetric = all(
+            np.abs(e - e.T).max() <= 1e-12 * max(1.0, np.abs(e).max()) for _, e in factors
+        )
+        adjoint = tuple((m, e.conj().T) for m, e in factors)
+        terms.append(_Term(pre, factors, adjoint, symmetric))
+        for m, e in factors:
+            single[m] = single.get(m, 0.0) - pre * (e + e.conj().T) / 2
+    for m in sorted(single):
+        phase, mat = _phase_split(single[m])
+        terms.append(_Term(phase, ((m, mat),)))
 
     dtype = np.float64 if all(t.is_real for t in terms) else np.complex128
     return ProductOperator(dims, diag, terms, dtype)
@@ -490,9 +478,7 @@ def _residuals(op: ProductOperator, evals: np.ndarray, evecs: np.ndarray) -> np.
     return np.linalg.norm(op.matmat(evecs) - evecs * evals, axis=0)
 
 
-def eigensolve(
-    op: ProductOperator, k: int, tol: float = 1e-9, ncv: int | None = None
-) -> SpectrumResult:
+def eigensolve(op: ProductOperator, k: int, tol: float = 1e-9) -> SpectrumResult:
     """k lowest eigenpairs: dense below DENSE_LIMIT, otherwise ARPACK.
 
     Raises :class:`EigensolverConvergenceError` when ARPACK does not
@@ -508,7 +494,7 @@ def eigensolve(
         dense *= 0.5
         evals, evecs = scipy.linalg.eigh(dense, overwrite_a=True, subset_by_index=[0, k - 1])
     else:
-        ncv = ncv or min(op.dim, max(2 * k + 1, 40))
+        ncv = min(op.dim, max(2 * k + 1, 40))
         maxiter = max(100, (10 * op.dim) // max(ncv - k, 1))
         rng = np.random.default_rng(_ARPACK_SEED)
         v0 = rng.standard_normal(op.dim)
@@ -579,7 +565,6 @@ def solve(
     cutoffs,
     k: int = 10,
     tol: float = 1e-9,
-    ncv: int | None = None,
     locals_builder=None,
 ) -> SpectrumResult:
     """Build local modes at the given cutoffs, assemble, and eigensolve."""
@@ -590,7 +575,7 @@ def solve(
     builder = locals_builder or make_locals_builder(H)
     locals_ = [builder(m, cutoffs[m]) for m in range(H.n)]
     op = assemble_hamiltonian(locals_, H, CouplingSet.from_hamiltonian(H))
-    return eigensolve(op, k=k, tol=tol, ncv=ncv)
+    return eigensolve(op, k=k, tol=tol)
 
 
 @dataclass(frozen=True)

@@ -215,6 +215,7 @@ def fluxonium_pipelines(fluxonium):
     }
 
 
+@pytest.mark.slow
 def test_criterion_08_convergence_ordering(fluxonium_pipelines):
     with Timer() as t:
         gaps = {}
@@ -229,6 +230,7 @@ def test_criterion_08_convergence_ordering(fluxonium_pipelines):
     report(8, f"convergence gaps strictly ordered: {pretty} ({t.elapsed:.0f} s)")
 
 
+@pytest.mark.slow
 def test_criterion_09_adaptive_cutoffs(fluxonium):
     eps = 1e-17
     with Timer() as t:

@@ -268,9 +268,27 @@ def test_cosine_coupling_matches_dense_kron(fluxonium, case, dims, dtype):
             E = locs[m].phase_factor(a)
             dense = dense - pre * embed({m: (E + E.conj().T) / 2})
     dense = (dense + dense.conj().T) / 2
+    np.testing.assert_allclose(op.to_dense(), dense, rtol=0, atol=1e-12)
     np.testing.assert_allclose(
         np.linalg.eigvalsh(dense)[:6], eigensolve(op, k=6).eigenvalues, atol=1e-10
     )
+
+
+@pytest.mark.parametrize("case", ["fluxonium-fs", "charge-harmonic"])
+def test_complex_block_is_applied_linearly(fluxonium, case):
+    # A symmetric cosine term takes Re(X psi) only for real psi; a complex
+    # block must give the real and imaginary parts' images combined.
+    if case == "fluxonium-fs":
+        op = assembled(scmodes.full_symplectic(fluxonium).H_out, [4, 3, 3, 2, 2])
+    else:
+        op = assembled(charge_harmonic_pair(), [6, 8])
+    rng = np.random.default_rng(3)
+    Z = rng.standard_normal((op.dim, 3)) + 1j * rng.standard_normal((op.dim, 3))
+    HZ = op.matmat(Z)
+    np.testing.assert_allclose(
+        HZ, op.matmat(Z.real) + 1j * op.matmat(Z.imag), rtol=0, atol=1e-12)
+    for c in range(Z.shape[1]):
+        np.testing.assert_allclose(op.matvec(Z[:, c]), HZ[:, c], rtol=0, atol=1e-12)
 
 
 def test_assembled_operator_is_hermitian(cpb, fluxonium):
@@ -549,22 +567,21 @@ def test_fluxonium_ios_and_fs_pipelines_agree(fluxonium):
     assert np.abs(e_ios - e_fs).max() < 1e-3
 
 
-def test_drive_term_produces_complex_operator(cpb):
-    # a nonzero voltage drive breaks the real fast path but keeps hermiticity
+def test_drive_keeps_operator_hermitian_and_shifts_levels_slightly(cpb):
+    # The undriven reduced CPB is already complex: its charge coupling
+    # coefficient is imaginary.  The drive makes the harmonic mode's
+    # eigenvectors complex; the operator's dtype then depends on the
+    # eigenvector phases LAPACK picks, so it is not asserted.
     H_red, _, _ = scmodes.remove_free_modes(cpb)
     H_drive = H_red.replace(V=np.array([0.003]))
     builder = make_locals_builder(H_drive)
     locs = [builder(m, 6) for m in range(2)]
+    assert isinstance(locs[1].basis, HarmonicBasis) and not locs[1].real_basis
     op = assemble_hamiltonian(locs, H_drive, CouplingSet.from_hamiltonian(H_drive))
     assert hermiticity_residual(op) < 1e-8
     res = eigensolve(op, k=3)
-    ref = eigensolve(
-        assemble_hamiltonian(
-            [make_locals_builder(H_red)(m, 6) for m in range(2)],
-            H_red,
-            CouplingSet.from_hamiltonian(H_red),
-        ),
-        k=3,
-    )
+    undriven = assembled(H_red, [6, 6])
+    assert undriven.dtype == np.complex128
+    ref = eigensolve(undriven, k=3)
     # a small drive shifts energies only slightly
     assert np.abs(res.eigenvalues - ref.eigenvalues).max() < 0.1

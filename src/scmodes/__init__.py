@@ -54,6 +54,7 @@ from .spectrum import (
     assemble_hamiltonian,
     build_local_mode,
     eigensolve,
+    embed,
     make_locals_builder,
     reduced_density_matrix,
     solve,

@@ -5,7 +5,9 @@ its local Hamiltonian is densely diagonalized there, and the lowest
 ``keep`` eigenstates are retained.  The coupled Hamiltonian is assembled
 in the product of the retained bases as a sum of tensor products of
 local operators, applied matrix-free; small systems are materialized and
-solved densely, larger ones go through ARPACK.
+solved densely, larger ones go through ARPACK.  A sequence of solves at
+growing or shrinking cutoffs (the adaptive search, a cutoff sweep) starts
+each ARPACK run from the previous solution, carried over by ``embed``.
 
 Couplings come in two kinds: quadratic charge/flux pairs from the
 off-diagonal entries of C_inv and M0, and residual cosine couplings
@@ -45,8 +47,16 @@ RESIDUAL_FACTOR = 100
 _HO_DEFAULT_DIM = 200
 _CHARGE_DEFAULT_MAX = 40
 
-# Fixed ARPACK starting vector seed; commands must be reproducible.
+# Fixed seed of ARPACK's random starting vector, so that commands are
+# reproducible.  Without a start it is the whole starting vector; with a
+# start it is the admixture below.
 _ARPACK_SEED = 7
+
+# A start's weight on a state it misses, relative to the start's norm.  A
+# start can lie wholly in one symmetry sector, and ARPACK then converges to
+# that sector's levels only, with small residuals; a 1e-6 random part lets
+# it reach the others at a few percent more matvecs than none.
+_START_ADMIXTURE = 1e-6
 
 
 class BasisMismatchError(ValueError):
@@ -478,8 +488,17 @@ def _residuals(op: ProductOperator, evals: np.ndarray, evecs: np.ndarray) -> np.
     return np.linalg.norm(op.matmat(evecs) - evecs * evals, axis=0)
 
 
-def eigensolve(op: ProductOperator, k: int, tol: float = 1e-9) -> SpectrumResult:
+def eigensolve(
+    op: ProductOperator, k: int, tol: float = 1e-9, start: np.ndarray | None = None
+) -> SpectrumResult:
     """k lowest eigenpairs: dense below DENSE_LIMIT, otherwise ARPACK.
+
+    ``start`` is an optional (dim,) vector or (dim, m) block close to the
+    wanted eigenvectors, such as the previous solution of a sweep carried
+    over by :func:`embed`.  ARPACK then starts from the sum of its columns
+    plus the seeded random vector scaled to _START_ADMIXTURE of that sum's
+    norm, so that levels the start misses, such as those of another
+    symmetry sector, stay reachable.  The dense branch ignores it.
 
     Raises :class:`EigensolverConvergenceError` when ARPACK does not
     converge or when a returned pair's residual exceeds
@@ -496,8 +515,10 @@ def eigensolve(op: ProductOperator, k: int, tol: float = 1e-9) -> SpectrumResult
     else:
         ncv = min(op.dim, max(2 * k + 1, 40))
         maxiter = max(100, (10 * op.dim) // max(ncv - k, 1))
-        rng = np.random.default_rng(_ARPACK_SEED)
-        v0 = rng.standard_normal(op.dim)
+        v0 = np.random.default_rng(_ARPACK_SEED).standard_normal(op.dim)
+        if start is not None:
+            s = np.asarray(start).reshape(op.dim, -1).sum(axis=1)
+            v0 = s + (_START_ADMIXTURE * np.linalg.norm(s) / np.linalg.norm(v0)) * v0
         try:
             evals, evecs = scipy.sparse.linalg.eigsh(
                 op.aslinearoperator(), k=k, which="SA", tol=tol, ncv=ncv,
@@ -566,8 +587,13 @@ def solve(
     k: int = 10,
     tol: float = 1e-9,
     locals_builder=None,
+    start: np.ndarray | None = None,
 ) -> SpectrumResult:
-    """Build local modes at the given cutoffs, assemble, and eigensolve."""
+    """Build local modes at the given cutoffs, assemble, and eigensolve.
+
+    ``start`` is passed to :func:`eigensolve`: vectors at these cutoffs
+    that ARPACK starts from, e.g. an earlier solution through :func:`embed`.
+    """
     require_valid(H)
     cutoffs = [int(d) for d in cutoffs]
     if len(cutoffs) != H.n:
@@ -575,7 +601,24 @@ def solve(
     builder = locals_builder or make_locals_builder(H)
     locals_ = [builder(m, cutoffs[m]) for m in range(H.n)]
     op = assemble_hamiltonian(locals_, H, CouplingSet.from_hamiltonian(H))
-    return eigensolve(op, k=k, tol=tol)
+    return eigensolve(op, k=k, tol=tol, start=start)
+
+
+def embed(vectors: np.ndarray, old_dims, new_dims) -> np.ndarray:
+    """A (prod(old_dims), m) block carried to (prod(new_dims), m).
+
+    Each mode's axis is zero-padded or truncated to its new dimension.
+    Between bases of one ``make_locals_builder``, which truncates a single
+    local eigenbasis, this is exact: the retained states are nested.
+    """
+    old_dims = tuple(int(d) for d in old_dims)
+    new_dims = tuple(int(d) for d in new_dims)
+    vectors = np.asarray(vectors)
+    m = vectors.shape[1]
+    out = np.zeros(new_dims + (m,), dtype=vectors.dtype)
+    common = tuple(slice(0, min(a, b)) for a, b in zip(old_dims, new_dims))
+    out[common] = vectors.reshape(old_dims + (m,))[common]
+    return out.reshape(-1, m)
 
 
 @dataclass(frozen=True)
@@ -622,6 +665,11 @@ def adaptive_cutoffs(
     target.  Working dimensions then sit one state above the targets so
     the criterion stays observable, and the rounds stop at a fixed point;
     ``max_rounds`` without one raises :class:`CutoffLimitError`.
+
+    Each round after the first starts ARPACK from the previous round's
+    ground state, embedded in the new working dimensions (see
+    :func:`eigensolve` for the random admixture that keeps other levels
+    reachable).
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -632,10 +680,12 @@ def adaptive_cutoffs(
     work = [min(d_init, d_max)] * n
     prev_targets = None
     targets = list(work)
+    ground = None
     for _ in range(max_rounds):
         locals_ = [builder(m, work[m]) for m in range(n)]
         op = assemble_hamiltonian(locals_, H, couplings)
-        ground = eigensolve(op, k=1, tol=tol)
+        start = None if ground is None else embed(ground.eigenvectors, ground.cutoffs, op.dims)
+        ground = eigensolve(op, k=1, tol=tol, start=start)
         targets = []
         grew = False
         for m in range(n):
@@ -669,10 +719,24 @@ def adaptive_cutoffs(
 
 
 def spectrum_vs_cutoff(H: CircuitHamiltonian, k: int, d_values) -> list[tuple[int, np.ndarray]]:
-    """The k lowest eigenvalues at each uniform per-mode cutoff d."""
+    """The k lowest eigenvalues at each uniform per-mode cutoff d.
+
+    Every mode is built once at the largest d, so each point truncates
+    one nested basis, and each solve after the first starts ARPACK from
+    the previous point's k eigenvectors, embedded in the new cutoffs (see
+    :func:`eigensolve` for the random admixture that keeps other levels
+    reachable).
+    """
+    require_valid(H)
+    d_values = [int(d) for d in d_values]
     builder = make_locals_builder(H)
+    if d_values:
+        for m in range(H.n):
+            builder(m, max(d_values))
     rows = []
+    result = None
     for d in d_values:
-        result = solve(H, [int(d)] * H.n, k=k, locals_builder=builder)
-        rows.append((int(d), result.eigenvalues))
+        start = None if result is None else embed(result.eigenvectors, result.cutoffs, (d,) * H.n)
+        result = solve(H, [d] * H.n, k=k, locals_builder=builder, start=start)
+        rows.append((d, result.eigenvalues))
     return rows

@@ -30,8 +30,13 @@ import scipy.sparse.linalg
 
 from .model import CircuitHamiltonian, require_valid
 
-# Cosine-argument coefficients below this are dropped consistently from
-# local and coupling parts.
+# Cosine-argument coefficients at or below this are dropped, by
+# split_cosine_row alone, from the local and the coupling parts alike.  It
+# is absolute because a coefficient multiplies a dimensionless flux: as
+# |cos(x + a phi_m) - cos(x)| <= |a| |phi_m|, dropping a changes that
+# junction's term by at most E_J |a| max|phi_m| on the retained states,
+# whatever the row's other entries.  A bound relative to the row would
+# drop larger coefficients from rows that have one large entry.
 COEFF_DROP_TOL = 1e-10
 
 # Quadratic couplings below this (relative to the largest entry of the
@@ -123,12 +128,15 @@ def split_cosine_row(
 class LocalMode:
     """One mode's truncated eigenbasis and its operators therein.
 
-    ``phase_factors[a]`` holds exp(i*a*phi) projected onto the retained
-    eigenstates; exp(-i*a*phi) is its conjugate transpose.  ``phi_op`` is
+    ``basis`` is the primitive basis :func:`default_basis` chose, and every
+    operator is its primitive matrix X projected as P^H X P onto the
+    retained eigenvectors P.  ``phase_factors[a]`` holds exp(i*a*phi), one
+    key per cosine coefficient of the mode as :func:`split_cosine_row`
+    gives it; exp(-i*a*phi) is its conjugate transpose.  ``phi_op`` is
     None for charge-basis modes, whose compact phase has no flux operator.
-    ``real_basis`` records whether the retained eigenvectors are real; the
-    assembler does not read it (it inspects the matrices), but the flop
-    model of ``bench/layers.py`` does.
+    ``real_basis`` records whether P is real (false only for a harmonic
+    mode with a voltage drive); the assembler does not read it (it
+    inspects the matrices), but the flop model of ``bench/layers.py`` does.
     """
 
     mode_index: int
@@ -168,28 +176,28 @@ class LocalMode:
         )
 
 
-def default_basis(H: CircuitHamiltonian, mode: int, primitive_dim: int | None = None):
-    """Harmonic basis for modes with a diagonal flux term, charge basis otherwise."""
-    m_ii = H.M0[mode, mode]
+def default_basis(
+    H: CircuitHamiltonian, mode: int, primitive_dim: int | None = None, keep: int = 10
+) -> HarmonicBasis | ChargeBasis:
+    """The primitive basis of one mode, decided from H alone.
+
+    A mode with a diagonal flux term, M0_ii > 1e-10 * max(1, max|M0|), gets
+    the harmonic-oscillator basis of 1/2 C_inv_ii n^2 + 1/2 M0_ii phi^2 with
+    max(200, 4*keep) states; any other mode gets the charge states
+    -max(40, 2*keep) .. max(40, 2*keep).  ``primitive_dim`` overrides the
+    size: that many oscillator states, or charges +-(primitive_dim - 1)//2.
+    """
+    m_ii = float(H.M0[mode, mode])
     if m_ii > 1e-10 * max(1.0, np.abs(H.M0).max()):
-        c_ii = H.C_inv[mode, mode]
+        c_ii = float(H.C_inv[mode, mode])
         return HarmonicBasis(
-            dim=primitive_dim or _HO_DEFAULT_DIM,
+            dim=primitive_dim or max(_HO_DEFAULT_DIM, 4 * keep),
             frequency=float(np.sqrt(c_ii * m_ii)),
             impedance=float(np.sqrt(c_ii / m_ii)),
         )
     if primitive_dim is not None:
         return ChargeBasis(max_charge=max(1, (primitive_dim - 1) // 2))
-    return ChargeBasis(max_charge=_CHARGE_DEFAULT_MAX)
-
-
-def _mode_cosine_terms(H: CircuitHamiltonian, mode: int):
-    terms = []
-    for r in range(H.n_J):
-        a = H.J_args[r, mode]
-        if abs(a) > COEFF_DROP_TOL:
-            terms.append((float(H.E_J[r]), float(H.E_sign[r]), float(a)))
-    return terms
+    return ChargeBasis(max_charge=max(_CHARGE_DEFAULT_MAX, 2 * keep))
 
 
 def build_local_mode(
@@ -197,100 +205,74 @@ def build_local_mode(
     mode: int,
     primitive_dim: int | None = None,
     keep: int = 10,
-    basis: HarmonicBasis | ChargeBasis | None = None,
 ) -> LocalMode:
     """Diagonalize one mode's local Hamiltonian and retain its lowest states.
 
     The local Hamiltonian is
     1/2 C_inv_ii n^2 + 1/2 M0_ii phi^2 + (N Phi_x)_i phi
     - sum_r sign_r E_J_r cos(a_r phi) - (C_inv C_V V)_i n
-    with the cosine sum running over junction rows with a nonzero
-    coefficient on this mode.  Phase factors exp(i*a*phi) are prepared
-    for every such coefficient.
+    in the primitive basis :func:`default_basis` picks, with the cosine
+    sum running over the local terms :func:`split_cosine_row` gives this
+    mode.  Phase factors exp(i*a*phi) are prepared for every such
+    coefficient.  A charge-basis mode takes no linear flux term and only
+    nonzero integer cosine coefficients (:class:`BasisMismatchError`).
     """
-    if basis is None:
-        basis = default_basis(H, mode, primitive_dim)
-    elif primitive_dim is not None and isinstance(basis, HarmonicBasis):
-        basis = HarmonicBasis(primitive_dim, basis.frequency, basis.impedance)
-
-    c_ii = float(H.C_inv[mode, mode])
-    m_ii = float(H.M0[mode, mode])
+    basis = default_basis(H, mode, primitive_dim, keep)
+    if keep > basis.dim:
+        raise ValueError(f"keep = {keep} exceeds primitive dimension {basis.dim}")
     flux_lin = float((H.N @ H.Phi_x)[mode]) if H.Phi_x.size else 0.0
     drive = float((H.C_inv @ (H.C_V @ H.V))[mode]) if H.V.size else 0.0
-    cos_terms = _mode_cosine_terms(H, mode)
+    cos_terms = []
+    for r in range(H.n_J):
+        energy, sign = float(H.E_J[r]), float(H.E_sign[r])
+        local_terms, _ = split_cosine_row(H.J_args[r], energy, sign)
+        cos_terms += [(energy, sign, a) for m, a in local_terms if m == mode]
 
+    # Each basis gives H_prim without cosines and drive, phi (None in the
+    # charge basis), n, and cos(a*phi) and exp(i*a*phi) as functions of a.
     if isinstance(basis, HarmonicBasis):
-        if m_ii <= 0:
-            raise BasisMismatchError(
-                f"mode {mode} has no diagonal flux term (M0_ii = {m_ii!r}); "
-                "a harmonic-oscillator basis is undefined"
-            )
-        dim = basis.dim
-        if keep > dim:
-            raise ValueError(f"keep = {keep} exceeds primitive dimension {dim}")
-        freq = np.sqrt(c_ii * m_ii)
-        z = np.sqrt(c_ii / m_ii)
-        basis = HarmonicBasis(dim, float(freq), float(z))
+        dim, z = basis.dim, basis.impedance
         ladder = np.diag(np.sqrt(np.arange(1, dim)), 1)  # annihilation
         phi = np.sqrt(z / 2.0) * (ladder + ladder.T)
-        n_imag = np.sqrt(1.0 / (2.0 * z)) * (ladder.T - ladder)  # n = i * n_imag
-        H_prim = np.diag(freq * (np.arange(dim) + 0.5)) + flux_lin * phi
+        n = 1j * (np.sqrt(1.0 / (2.0 * z)) * (ladder.T - ladder))
+        H_prim = np.diag(basis.frequency * (np.arange(dim) + 0.5)) + flux_lin * phi
         xs, U = np.linalg.eigh(phi)
-        for energy, sign, a in cos_terms:
-            H_prim -= sign * energy * ((U * np.cos(a * xs)) @ U.T)
-        real = drive == 0.0
-        if not real:
-            H_prim = H_prim.astype(complex) - drive * 1j * n_imag
-        evals, evecs = np.linalg.eigh(H_prim)
-        P = evecs[:, :keep]
-        phase = {}
-        for a in sorted({a for _, _, a in cos_terms}):
-            phase[a] = P.conj().T @ ((U * np.exp(1j * a * xs)) @ U.T) @ P
-        return LocalMode(
-            mode_index=mode,
-            basis=basis,
-            energies=evals[:keep],
-            phi_op=P.conj().T @ phi @ P,
-            n_op=P.conj().T @ (1j * n_imag) @ P,
-            phase_factors=phase,
-            real_basis=real,
-        )
-
-    # charge basis
-    if m_ii > 1e-10 * max(1.0, np.abs(H.M0).max()):
-        raise BasisMismatchError(
-            f"mode {mode} carries a quadratic flux term (M0_ii = {m_ii!r}) that the "
-            "charge basis cannot represent; use a harmonic basis"
-        )
-    if flux_lin != 0.0:
-        raise BasisMismatchError(
-            f"mode {mode} carries a linear flux term that the charge basis cannot represent"
-        )
-    dim = basis.dim
-    if keep > dim:
-        raise ValueError(f"keep = {keep} exceeds primitive dimension {dim}")
-    charges = np.arange(-basis.max_charge, basis.max_charge + 1, dtype=float)
-    H_prim = np.diag(0.5 * c_ii * charges**2 - drive * charges)
-    shifts = {}
-    for energy, sign, a in cos_terms:
-        ia = round(a)
-        if abs(a - ia) > 1e-9 or ia == 0:
+        cos = lambda a: (U * np.cos(a * xs)) @ U.T  # noqa: E731
+        exp = lambda a: (U * np.exp(1j * a * xs)) @ U.T  # noqa: E731
+    else:
+        if flux_lin != 0.0:
             raise BasisMismatchError(
-                f"mode {mode}: cosine coefficient {a!r} is not a nonzero integer; "
-                "the charge basis supports integer phase shifts only"
+                f"mode {mode} carries a linear flux term that the charge basis cannot represent"
             )
-        shifts[a] = np.eye(dim, k=-ia)  # exp(i*a*phi): |m> -> |m + a>
-        H_prim -= sign * energy * 0.5 * (shifts[a] + shifts[a].T)
+        for _, _, a in cos_terms:
+            if abs(a - round(a)) > 1e-9 or round(a) == 0:
+                raise BasisMismatchError(
+                    f"mode {mode}: cosine coefficient {a!r} is not a nonzero integer; "
+                    "the charge basis supports integer phase shifts only"
+                )
+        charges = np.arange(-basis.max_charge, basis.max_charge + 1, dtype=float)
+        phi = None
+        n = np.diag(charges)
+        H_prim = np.diag(0.5 * float(H.C_inv[mode, mode]) * charges**2)
+        # exp(i*a*phi): |m> -> |m + a>
+        exp = lambda a: np.eye(basis.dim, k=-round(a))  # noqa: E731
+        cos = lambda a: 0.5 * (exp(a) + exp(a).T)  # noqa: E731
+
+    for energy, sign, a in cos_terms:
+        H_prim -= sign * energy * cos(a)
+    if drive != 0.0:
+        H_prim = H_prim - drive * n
     evals, evecs = np.linalg.eigh(H_prim)
     P = evecs[:, :keep]
+    project = lambda X: P.conj().T @ X @ P  # noqa: E731
     return LocalMode(
         mode_index=mode,
         basis=basis,
         energies=evals[:keep],
-        phi_op=None,
-        n_op=P.T @ np.diag(charges) @ P,
-        phase_factors={a: P.T @ mat @ P for a, mat in shifts.items()},
-        real_basis=True,
+        phi_op=None if phi is None else project(phi),
+        n_op=project(n),
+        phase_factors={a: project(exp(a)) for a in sorted({a for _, _, a in cos_terms})},
+        real_basis=np.isrealobj(P),
     )
 
 
@@ -554,27 +536,19 @@ def eigensolve(
     )
 
 
-def _primitive_for_keep(H, mode, keep):
-    basis = default_basis(H, mode)
-    if isinstance(basis, HarmonicBasis):
-        return max(_HO_DEFAULT_DIM, 4 * keep)
-    return 2 * max(_CHARGE_DEFAULT_MAX, 2 * keep) + 1
-
-
 def make_locals_builder(H: CircuitHamiltonian):
     """Builder (mode, keep) -> LocalMode that caches and truncates.
 
-    The primitive diagonalization is mode-local and independent of keep,
-    so a larger previously built mode is sliced instead of rebuilt.
+    The primitive diagonalization is mode-local and its basis only grows
+    with keep, so a larger previously built mode is sliced instead of
+    rebuilt.
     """
     cache: dict[int, LocalMode] = {}
 
     def build(mode: int, keep: int) -> LocalMode:
         cached = cache.get(mode)
         if cached is None or cached.dim < keep:
-            cached = build_local_mode(
-                H, mode, primitive_dim=_primitive_for_keep(H, mode, keep), keep=keep
-            )
+            cached = build_local_mode(H, mode, keep=keep)
             cache[mode] = cached
         return cached.truncated(keep)
 
@@ -649,7 +623,6 @@ def reduced_density_matrix(
 
 def adaptive_cutoffs(
     H: CircuitHamiltonian,
-    locals_builder=None,
     epsilon: float = 1e-17,
     d_init: int = 8,
     d_max: int = 64,
@@ -675,7 +648,7 @@ def adaptive_cutoffs(
         raise ValueError("epsilon must be positive")
     require_valid(H)
     n = H.n
-    builder = locals_builder or make_locals_builder(H)
+    builder = make_locals_builder(H)
     couplings = CouplingSet.from_hamiltonian(H)
     work = [min(d_init, d_max)] * n
     prev_targets = None

@@ -7,6 +7,8 @@ import pathlib
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.special
 
 from scmodes import canonical, io, spectrum
 from scmodes.canonical import CanonicalTransform
@@ -174,6 +176,45 @@ def block_elim_transform(H_exposed, F):
     G = np.eye(n)  # (W^T)^-1
     G[F:, :F] = -X.T @ np.linalg.inv(A)
     return CanonicalTransform(np.linalg.inv(G.T), G.T)
+
+
+def sinc_dvr_levels(c, m, flux_lin, E_J, sign, drive, k):
+    """k lowest levels of one extended mode on a sinc-DVR grid in phi.
+
+    The Hamiltonian is 1/2 c n^2 + 1/2 m phi^2 + flux_lin phi
+    - sign E_J cos(phi) - drive n with n = -i d/dphi.  The grid of 301
+    nodes is centred on the harmonic minimum -flux_lin/m and spans
+    +-12 sqrt(z), z = sqrt(c/m); the kinetic matrix is
+    Colbert and Miller's (J. Chem. Phys. 96, 1982 (1992)).  The drive is
+    exact: 1/2 c n^2 - drive n = 1/2 c (n - drive/c)^2 - drive^2/(2c), and
+    on the line the shift of n is the gauge exp(i drive phi / c), so every
+    level moves by -drive^2/(2c).
+    """
+    points = 301
+    half = 12.0 * np.sqrt(np.sqrt(c / m))
+    x = -flux_lin / m + np.linspace(-half, half, points)
+    dx = x[1] - x[0]
+    diff = np.subtract.outer(np.arange(points), np.arange(points))
+    kinetic = np.where(diff == 0, np.pi**2 / 3, 2.0 * (-1.0) ** diff / np.maximum(diff**2, 1))
+    potential = 0.5 * m * x**2 + flux_lin * x - sign * E_J * np.cos(x)
+    H = (0.5 * c / dx**2) * kinetic + np.diag(potential)
+    return scipy.linalg.eigvalsh(H, subset_by_index=[0, k - 1]) - drive**2 / (2 * c)
+
+
+def mathieu_levels(c, E_J, k):
+    """k lowest levels of 1/2 c n^2 - sign E_J cos(phi) on the circle, either sign.
+
+    With phi = 2x and E_C = c/8 the Schroedinger equation is Mathieu's
+    y'' + (a - 2q cos 2x) y = 0 with a = E/E_C and q = -sign E_J/(2 E_C).
+    The 2pi-periodic solutions in phi are the pi-periodic ones in x, whose
+    characteristic values a_0, a_2, b_2, a_4, b_4, ... are even in q.
+    """
+    E_C = c / 8.0
+    q = abs(E_J) / (2.0 * E_C)
+    orders = range(0, 2 * k + 1, 2)
+    values = [scipy.special.mathieu_a(r, q) for r in orders]
+    values += [scipy.special.mathieu_b(r, q) for r in orders if r > 0]
+    return E_C * np.sort(values)[:k]
 
 
 def hermiticity_residual(op, rng=None, trials=4):

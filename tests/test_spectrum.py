@@ -3,6 +3,7 @@ and adaptive cutoffs."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import scmodes
 from scmodes import spectrum
@@ -23,7 +24,7 @@ from scmodes.spectrum import (
     spectrum_vs_cutoff,
 )
 
-from conftest import hermiticity_residual
+from conftest import hermiticity_residual, mathieu_levels, sinc_dvr_levels
 
 TABLE_ENERGIES = [-0.999, -0.00981, 0.979, 1.88, 1.97, 2.87, 2.96, 3.32, 3.85, 3.95]
 
@@ -53,8 +54,9 @@ def test_harmonic_mode_energies():
 
 def test_cpb_junction_mode_self_convergence(cpb):
     H_red, _, _ = scmodes.remove_free_modes(cpb)
-    e20 = build_local_mode(H_red, 0, keep=10, basis=ChargeBasis(20)).energies
-    e40 = build_local_mode(H_red, 0, keep=10, basis=ChargeBasis(40)).energies
+    # charges -20..20 and -40..40
+    e20 = build_local_mode(H_red, 0, primitive_dim=41, keep=10).energies
+    e40 = build_local_mode(H_red, 0, primitive_dim=81, keep=10).energies
     assert np.abs(e20 - e40).max() < 1e-6
 
 
@@ -109,21 +111,13 @@ def test_charge_basis_rejects_non_integer_coefficient():
         build_local_mode(H, 0, keep=4)
 
 
-def test_harmonic_basis_requires_flux_term():
+def test_charge_basis_rejects_linear_flux_term():
     H = CircuitHamiltonian.create(
         kinds=[ModeKind.JUNCTION], C_inv=np.array([[2.0]]), M0=np.zeros((1, 1)),
-        E_J=[1.0],
+        E_J=[1.0], N=[[1.0]], Phi_x=[0.3],
     )
-    with pytest.raises(BasisMismatchError, match="harmonic"):
-        build_local_mode(H, 0, keep=4, basis=HarmonicBasis(50, 1.0, 1.0))
-
-
-def test_charge_basis_rejects_flux_term():
-    H = CircuitHamiltonian.create(
-        kinds=[ModeKind.INDUCTOR], C_inv=np.array([[2.0]]), M0=np.array([[1.0]])
-    )
-    with pytest.raises(BasisMismatchError, match="charge basis"):
-        build_local_mode(H, 0, keep=4, basis=ChargeBasis(10))
+    with pytest.raises(BasisMismatchError, match="linear flux"):
+        build_local_mode(H, 0, keep=4)
 
 
 def test_phase_factor_unitarity():
@@ -156,15 +150,23 @@ def test_phase_factor_needs_exact_key():
 
 
 def test_commutator_on_primitive_basis():
-    # [phi, n] = i on the harmonic primitive basis except the last corner
+    # With nothing truncated P is unitary and [phi_op, n_op] = P^H [phi, n] P.
+    # On the primitive ladder [phi, n] = i except at the top corner, where it
+    # is i (1 - dim), so the defect is rank one with singular value dim.
     dim = 30
-    b = np.diag(np.sqrt(np.arange(1, dim)), 1)
-    z = 2.0
-    phi = np.sqrt(z / 2) * (b + b.T)
-    n = 1j * np.sqrt(1 / (2 * z)) * (b.T - b)
-    comm = phi @ n - n @ phi
-    expected = 1j * np.eye(dim)
-    np.testing.assert_allclose(comm[:-1, :], expected[:-1, :], atol=1e-10)
+    oscillator = CircuitHamiltonian.create(
+        kinds=[ModeKind.INDUCTOR], C_inv=np.array([[2.0]]), M0=np.array([[0.5]])
+    )
+    with_cosine = CircuitHamiltonian.create(
+        kinds=[ModeKind.JUNCTION], C_inv=np.array([[3.0]]), M0=np.array([[1.5]]),
+        E_J=[2.0],
+    )
+    for H in (oscillator, with_cosine):
+        loc = build_local_mode(H, 0, primitive_dim=dim, keep=dim)
+        defect = loc.phi_op @ loc.n_op - loc.n_op @ loc.phi_op - 1j * np.eye(dim)
+        sv = np.linalg.svd(defect, compute_uv=False)
+        np.testing.assert_allclose(sv[0], dim, rtol=1e-10)
+        assert sv[1:].max() < 1e-10
 
 
 def test_truncated_mode_matches_rebuild():
@@ -174,6 +176,55 @@ def test_truncated_mode_matches_rebuild():
     cut = big.truncated(5)
     np.testing.assert_allclose(cut.energies, small.energies, atol=1e-12)
     np.testing.assert_allclose(cut.n_op, small.n_op, atol=1e-12)
+
+
+def junction_mode(c, m, E_J, sign, flux_lin=0.0, V=0.0):
+    """One junction mode with a flux offset through N = 1 and a drive through C_V = 1."""
+    return CircuitHamiltonian.create(
+        kinds=[ModeKind.JUNCTION], C_inv=[[c]], M0=[[m]], E_J=[E_J], E_sign=[sign],
+        N=[[1.0]], Phi_x=[flux_lin], C_V=[[1.0]], V=[V],
+    )
+
+
+ORACLE_SETTINGS = settings(max_examples=20, derandomize=True, database=None, deadline=None)
+
+
+@ORACLE_SETTINGS
+@given(
+    c=st.floats(0.5, 8.0),
+    m=st.floats(0.05, 3.0),
+    E_J=st.floats(0.0, 6.0),
+    sign=st.sampled_from([1.0, -1.0]),
+    flux_lin=st.floats(-1.0, 1.0),
+    V=st.floats(-1.0, 1.0),
+)
+def test_harmonic_mode_matches_sinc_dvr(c, m, E_J, sign, flux_lin, V):
+    # 400 primitive states resolve the whole drawn range (4.8e-13 on a grid
+    # of its corners); the default 200 do not, see the xfail below.
+    H = junction_mode(c, m, E_J, sign, flux_lin, V)
+    loc = build_local_mode(H, 0, primitive_dim=400, keep=4)
+    expected = sinc_dvr_levels(c, m, flux_lin, E_J, sign, drive=c * V, k=4)
+    np.testing.assert_allclose(loc.energies, expected, rtol=0, atol=1e-8)
+
+
+@pytest.mark.xfail(strict=True, reason="the default harmonic basis misses displaced deep wells")
+def test_default_harmonic_basis_resolves_displaced_deep_well():
+    # Known limitation: the harmonic primitive basis is centred at phi = 0
+    # with max(200, 4 keep) states, and nothing checks its truncation.  Here
+    # the flux term displaces deep cosine wells by flux_lin/m = 20, and the
+    # default basis misses the third level by 1.7e-5; 300 states agree to 1.4e-12.
+    c, m, E_J, sign, flux_lin = 0.5, 0.05, 6.0, -1.0, 1.0
+    loc = build_local_mode(junction_mode(c, m, E_J, sign, flux_lin), 0, keep=4)
+    expected = sinc_dvr_levels(c, m, flux_lin, E_J, sign, drive=0.0, k=4)
+    np.testing.assert_allclose(loc.energies, expected, rtol=0, atol=1e-8)
+
+
+@ORACLE_SETTINGS
+@given(c=st.floats(0.5, 8.0), E_J=st.floats(0.1, 6.0), sign=st.sampled_from([1.0, -1.0]))
+def test_charge_mode_matches_mathieu(c, E_J, sign):
+    loc = build_local_mode(junction_mode(c, 0.0, E_J, sign), 0, keep=4)
+    assert isinstance(loc.basis, ChargeBasis)
+    np.testing.assert_allclose(loc.energies, mathieu_levels(c, E_J, 4), rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Three techniques, all linear canonical transformations and therefore
 spectrum preserving:
 
 * simultaneous approximate diagonalization (SAD): Jacobi sweeps of Givens
-  rotations over inductor-axis pairs, jointly reducing the off-diagonal
+  rotations over inductor-axis pairs in round-robin order, each step
+  rotating disjoint pairs at once, jointly reducing the off-diagonal
   entries of M0 and C_inv;
 * inductor-only symplectic diagonalization (IOS): block Williamson on the
   inductor submatrices, which makes the inductor blocks of both coupling
@@ -56,19 +57,55 @@ def _result(H, T, method, sweeps=0) -> DecoupleResult:
     )
 
 
-def jacobi_pair_angle(mats, p: int, q: int) -> float:
+def jacobi_pair_angle(mats, p: int | np.ndarray, q: int | np.ndarray) -> float | np.ndarray:
     """Closed-form optimal Givens angle for jointly diagonalizing a matrix set.
 
     Minimizes the sum over the set of squared (p, q) off-diagonal entries
     after the rotation.  Because a Givens rotation preserves
     a_pk^2 + a_qk^2 for every k outside the pair, this also minimizes the
     full off-diagonal objective restricted to rotations in this plane.
+    ``p`` and ``q`` are ints or equal-length integer arrays; arrays give one
+    angle per pair.
     """
-    diff = np.array([m[p, p] - m[q, q] for m in mats])
-    off = np.array([m[p, q] + m[q, p] for m in mats])
-    ton = diff @ diff - off @ off
-    toff = 2.0 * (diff @ off)
+    mats = np.asarray(mats)
+    diff = mats[:, p, p] - mats[:, q, q]
+    off = mats[:, p, q] + mats[:, q, p]
+    ton = (diff * diff).sum(axis=0) - (off * off).sum(axis=0)
+    toff = 2.0 * (diff * off).sum(axis=0)
     return 0.5 * np.arctan2(toff, ton + np.hypot(ton, toff))
+
+
+def _round_robin(indices) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Steps of disjoint pairs in which every pair of ``indices`` meets once.
+
+    The circle method of a round-robin tournament: the first player keeps
+    its seat while the others move one seat per step, and an odd count gets
+    a dummy player whose partner sits the step out.  Each step is a pair
+    of index arrays (p, q) with p < q elementwise.
+    """
+    players = list(indices)
+    if len(players) % 2:
+        players.append(None)
+    m = len(players)
+    steps = []
+    for _ in range(m - 1):
+        pairs = [
+            sorted((players[i], players[m - 1 - i]))
+            for i in range(m // 2)
+            if players[i] is not None and players[m - 1 - i] is not None
+        ]
+        if pairs:
+            p, q = np.array(pairs, dtype=np.intp).T
+            steps.append((p, q))
+        players = [players[0], players[-1], *players[1:-1]]
+    return steps
+
+
+def _rotate_rows(A, p, q, c, s):
+    """Rotate rows p[i], q[i] of A (second-to-last axis) by angle i, in place."""
+    A_p, A_q = A[..., p, :], A[..., q, :]
+    A[..., p, :] = c * A_p + s * A_q
+    A[..., q, :] = c * A_q - s * A_p
 
 
 def simultaneous_approx_diag(
@@ -78,41 +115,35 @@ def simultaneous_approx_diag(
 ) -> DecoupleResult:
     """Jointly diagonalize M0 and C_inv by orthogonal Jacobi sweeps.
 
-    Rotation axes are restricted to inductor-mode pairs (lexicographic
-    sweep order) so that junction fluxes are never mixed and the cosine
-    terms stay local.  Sweeps stop once every rotation angle in a sweep
+    Rotation axes are restricted to inductor-mode pairs so that junction
+    fluxes are never mixed and the cosine terms stay local.  A sweep visits
+    every pair once in round-robin order (Brent & Luk 1985): each step
+    rotates disjoint pairs, whose angles do not depend on one another, so
+    the whole step is one vectorized update equal to applying its rotations
+    one after another.  Sweeps stop once every rotation angle in a sweep
     falls below ``SAD_ANGLE_TOL``; hitting ``max_sweeps`` is reported through
     ``iterations``, not an error.  ``on_rotation``, if given, is called
-    with the off-diagonal objective after every applied rotation.
+    with the off-diagonal objective after every step that applied a
+    rotation.
     """
     require_valid(H)
-    n = H.n
-    pairs = [
-        (p, q)
-        for i, p in enumerate(H.inductor_indices)
-        for q in H.inductor_indices[i + 1 :]
-    ]
-    mats = [H.M0.copy(), H.C_inv.copy()]
-    W = np.eye(n)
+    steps = _round_robin(H.inductor_indices)
+    mats = np.stack([H.M0, H.C_inv])
+    W = np.eye(H.n)
     sweeps_used = 0
     for _ in range(max_sweeps):
         rotated = False
-        for p, q in pairs:
+        for p, q in steps:
             theta = jacobi_pair_angle(mats, p, q)
-            if abs(theta) < SAD_ANGLE_TOL:
+            active = np.abs(theta) >= SAD_ANGLE_TOL
+            if not active.any():
                 continue
             rotated = True
+            p, q, theta = p[active], q[active], theta[active, None]
             c, s = np.cos(theta), np.sin(theta)
-            for m in mats:
-                rows_p = c * m[p, :] + s * m[q, :]
-                rows_q = -s * m[p, :] + c * m[q, :]
-                m[p, :], m[q, :] = rows_p, rows_q
-                cols_p = c * m[:, p] + s * m[:, q]
-                cols_q = -s * m[:, p] + c * m[:, q]
-                m[:, p], m[:, q] = cols_p, cols_q
-            rows_p = c * W[p, :] + s * W[q, :]
-            rows_q = -s * W[p, :] + c * W[q, :]
-            W[p, :], W[q, :] = rows_p, rows_q
+            _rotate_rows(mats, p, q, c, s)
+            _rotate_rows(mats.swapaxes(1, 2), p, q, c, s)  # the columns
+            _rotate_rows(W, p, q, c, s)
             if on_rotation is not None:
                 on_rotation(canonical.offdiag_sq(mats))
         if not rotated:

@@ -12,6 +12,7 @@ import scipy.special
 
 from scmodes import canonical, io, spectrum
 from scmodes.canonical import CanonicalTransform
+from scmodes.decouple import SAD_ANGLE_TOL, jacobi_pair_angle
 from scmodes.model import CircuitHamiltonian, ModeKind
 from scmodes.symplectic import block_williamson
 
@@ -176,6 +177,34 @@ def block_elim_transform(H_exposed, F):
     G = np.eye(n)  # (W^T)^-1
     G[F:, :F] = -X.T @ np.linalg.inv(A)
     return CanonicalTransform(np.linalg.inv(G.T), G.T)
+
+
+def sad_pairwise(M0, C_inv, W, pairs):
+    """SAD rotations applied one pair at a time, in the order given.
+
+    For each (p, q) the optimal joint Givens angle is computed from the
+    matrices as they stand, angles below ``SAD_ANGLE_TOL`` are skipped, and
+    the rows and columns of M0 and C_inv and the rows of W are rotated.
+    Returns rotated copies (M0, C_inv, W); the inputs are left alone.
+    """
+    mats = [M0.copy(), C_inv.copy()]
+    W = W.copy()
+    for p, q in pairs:
+        theta = jacobi_pair_angle(mats, p, q)
+        if abs(theta) < SAD_ANGLE_TOL:
+            continue
+        c, s = np.cos(theta), np.sin(theta)
+        for m in mats:
+            rows_p = c * m[p, :] + s * m[q, :]
+            rows_q = -s * m[p, :] + c * m[q, :]
+            m[p, :], m[q, :] = rows_p, rows_q
+            cols_p = c * m[:, p] + s * m[:, q]
+            cols_q = -s * m[:, p] + c * m[:, q]
+            m[:, p], m[:, q] = cols_p, cols_q
+        rows_p = c * W[p, :] + s * W[q, :]
+        rows_q = -s * W[p, :] + c * W[q, :]
+        W[p, :], W[q, :] = rows_p, rows_q
+    return mats[0], mats[1], W
 
 
 def sinc_dvr_levels(c, m, flux_lin, E_J, sign, drive, k):

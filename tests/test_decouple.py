@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import scmodes
+from scmodes.canonical import offdiag_sq
 from scmodes.decouple import (
     DecoupleMethod,
+    _round_robin,
     full_symplectic,
     inductor_symplectic,
     jacobi_pair_angle,
@@ -15,7 +17,12 @@ from scmodes.model import CircuitHamiltonian, ModeKind
 from scmodes.spectrum import split_cosine_row
 from scmodes.symplectic import NotPositiveDefiniteError, symplectic_residual
 
-from conftest import match_rows_up_to_sign_and_order, random_spd, spectral_equivalence_check
+from conftest import (
+    match_rows_up_to_sign_and_order,
+    random_spd,
+    sad_pairwise,
+    spectral_equivalence_check,
+)
 
 SAD_W_EXPECTED = np.array(
     [
@@ -106,6 +113,83 @@ def test_sad_objective_nonincreasing_per_rotation(fluxonium):
 def test_sad_nonconvergence_reported_via_iterations(fluxonium):
     result = simultaneous_approx_diag(fluxonium, max_sweeps=2)
     assert result.iterations == 2  # still rotating when the budget ran out
+
+
+def mixed_kinds(rng, n_L, n_J):
+    """n_L inductor and n_J junction kinds in a random order."""
+    kinds = np.array([ModeKind.INDUCTOR] * n_L + [ModeKind.JUNCTION] * n_J)
+    return list(rng.permutation(kinds))
+
+
+def test_round_robin_meets_every_inductor_pair_once_per_sweep():
+    rng = np.random.default_rng(53)
+    for n_L in range(10):
+        kinds = mixed_kinds(rng, n_L, 3)
+        H = CircuitHamiltonian.create(
+            kinds=kinds, C_inv=np.eye(n_L + 3), M0=np.eye(n_L + 3), E_J=[1.0] * 3
+        )
+        L = H.inductor_indices
+        steps = _round_robin(L)
+        pairs = [(int(a), int(b)) for p, q in steps for a, b in zip(p, q)]
+        assert sorted(pairs) == [(a, b) for i, a in enumerate(L) for b in L[i + 1 :]]
+        for p, q in steps:
+            assert len(set(p) | set(q)) == 2 * len(p)  # disjoint within a step
+            assert set(p) | set(q) <= set(L)  # no junction index
+        assert len(steps) == (0 if n_L < 2 else n_L - 1 + n_L % 2)
+
+
+def test_jacobi_angle_vector_matches_scalar():
+    rng = np.random.default_rng(59)
+    mats = [random_spd(rng, 8), random_spd(rng, 8)]
+    p, q = np.triu_indices(8, k=1)
+    vector = jacobi_pair_angle(mats, p, q)
+    scalar = [jacobi_pair_angle(mats, int(a), int(b)) for a, b in zip(p, q)]
+    np.testing.assert_allclose(vector, scalar, rtol=0.0, atol=1e-15)
+
+
+def test_sad_steps_match_pairwise_oracle():
+    """Each step's vectorized update equals rotating its pairs one by one."""
+    rng = np.random.default_rng(61)
+    H = CircuitHamiltonian.create(
+        kinds=[ModeKind.INDUCTOR] * 12, C_inv=random_spd(rng, 12), M0=random_spd(rng, 12)
+    )
+    trace = []
+    result = simultaneous_approx_diag(H, max_sweeps=1, on_rotation=trace.append)
+    M0, C_inv, W = H.M0, H.C_inv, np.eye(12)
+    expected = []
+    for p, q in _round_robin(H.inductor_indices):
+        M0, C_inv, W = sad_pairwise(M0, C_inv, W, zip(p, q))
+        expected.append(offdiag_sq((M0, C_inv)))
+    np.testing.assert_allclose(trace, expected, rtol=1e-12)
+    np.testing.assert_allclose(result.T.W, W, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(result.H_out.M0, M0, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(result.H_out.C_inv, C_inv, rtol=0.0, atol=1e-12)
+
+
+def test_sad_large_random_circuit_invariants():
+    rng = np.random.default_rng(67)
+    n, n_J = 40, 5
+    kinds = mixed_kinds(rng, n - n_J, n_J)
+    H = CircuitHamiltonian.create(
+        kinds=kinds,
+        C_inv=5.0 * random_spd(rng, n, 30.0),
+        M0=random_spd(rng, n, 30.0),
+        E_J=[1.0] * n_J,
+    )
+    trace = []
+    result = simultaneous_approx_diag(H, max_sweeps=15, on_rotation=trace.append)
+    W, out = result.T.W, result.H_out
+    np.testing.assert_allclose(W @ W.T, np.eye(n), rtol=0.0, atol=1e-12)
+    J = list(H.junction_indices)
+    np.testing.assert_array_equal(out.J_args, H.J_args)
+    np.testing.assert_array_equal(W[J], np.eye(n)[J])
+
+    def frequencies(h):
+        return np.sqrt(np.sort(np.linalg.eigvals(h.M0 @ h.C_inv).real))
+
+    np.testing.assert_allclose(frequencies(out), frequencies(H), rtol=1e-10)
+    values = [scmodes.offdiag_norm(H)] + trace
+    assert np.all(np.diff(values) <= 1e-12 * values[0])
 
 
 # ---------------------------------------------------------------------------

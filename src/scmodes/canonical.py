@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CircuitHamiltonian, _symmetrized
+from .model import CircuitHamiltonian
 
 INVERSE_RTOL = 1e-10
 
@@ -88,15 +88,16 @@ def apply(H: CircuitHamiltonian, T: CanonicalTransform) -> CircuitHamiltonian:
     C_inv -> W C_inv W^T, M0 -> (W^T)^-1 M0 W^-1, N and C_V pick up
     (W^T)^-1, and the junction arguments pick up W^-1 on the right.
     Junction energies, external fluxes, voltages, and mode kinds are
-    carried over positionally.
+    carried over positionally.  Building the result checks that C_inv and
+    M0 stayed symmetric and averages the rounding asymmetry away.
     """
     if T.n != H.n:
         raise SingularTransformError(f"transform is {T.n}x{T.n}, Hamiltonian has n={H.n}")
     W, W_inv = T.W, T.W_inv
     Wmt = W_inv.T  # (W^T)^-1
     return H.replace(
-        C_inv=_symmetrized(W @ H.C_inv @ W.T, "C_inv"),
-        M0=_symmetrized(Wmt @ H.M0 @ W_inv, "M0"),
+        C_inv=W @ H.C_inv @ W.T,
+        M0=Wmt @ H.M0 @ W_inv,
         N=Wmt @ H.N,
         C_V=Wmt @ H.C_V,
         J_args=H.J_args @ W_inv,

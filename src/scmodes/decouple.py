@@ -153,6 +153,18 @@ def simultaneous_approx_diag(
     return _result(H, T, DecoupleMethod.SAD, sweeps=sweeps_used)
 
 
+def _block_symplectic(H: CircuitHamiltonian, modes, method: DecoupleMethod) -> DecoupleResult:
+    """W = S^-1 on ``modes`` and the identity elsewhere, with S the block form
+    of the Williamson factorization of the ``modes`` blocks of (M0, C_inv)."""
+    require_valid(H)
+    W, W_inv = np.eye(H.n), np.eye(H.n)
+    if modes:
+        ix = np.ix_(modes, modes)
+        S = symplectic.block_williamson(H.M0[ix], H.C_inv[ix]).block_form
+        W[ix], W_inv[ix] = np.linalg.inv(S), S
+    return _result(H, canonical.CanonicalTransform(W, W_inv), method)
+
+
 def inductor_symplectic(H: CircuitHamiltonian) -> DecoupleResult:
     """Symplectically diagonalize the inductor submatrices of M0 and C_inv.
 
@@ -161,20 +173,7 @@ def inductor_symplectic(H: CircuitHamiltonian) -> DecoupleResult:
     arguments are untouched.  Requires the inductor block of M0 to be
     positive definite.
     """
-    require_valid(H)
-    n = H.n
-    L = list(H.inductor_indices)
-    if not L:
-        return _result(H, canonical.CanonicalTransform.identity(n), DecoupleMethod.INDUCTOR_SYMPLECTIC)
-    ix = np.ix_(L, L)
-    fact = symplectic.block_williamson(H.M0[ix], H.C_inv[ix])
-    S_L = fact.block_form
-    W = np.eye(n)
-    W_inv = np.eye(n)
-    W[ix] = np.linalg.inv(S_L)
-    W_inv[ix] = S_L
-    T = canonical.CanonicalTransform(W, W_inv)
-    return _result(H, T, DecoupleMethod.INDUCTOR_SYMPLECTIC)
+    return _block_symplectic(H, list(H.inductor_indices), DecoupleMethod.INDUCTOR_SYMPLECTIC)
 
 
 def full_symplectic(H: CircuitHamiltonian) -> DecoupleResult:
@@ -184,18 +183,14 @@ def full_symplectic(H: CircuitHamiltonian) -> DecoupleResult:
     diagonal matrix of symplectic eigenvalues and every junction argument
     row becomes the corresponding row of S_n.
     """
-    require_valid(H)
     try:
-        fact = symplectic.block_williamson(H.M0, H.C_inv)
+        return _block_symplectic(H, list(range(H.n)), DecoupleMethod.FULL_SYMPLECTIC)
     except symplectic.NotPositiveDefiniteError as exc:
         raise symplectic.NotPositiveDefiniteError(
             "full symplectic diagonalization needs a positive definite M0; "
             "every junction must be shunted by an inductor (possibly a large "
             f"fictitious one): {exc}"
         ) from exc
-    S_n = fact.block_form
-    T = canonical.CanonicalTransform(np.linalg.inv(S_n), S_n)
-    return _result(H, T, DecoupleMethod.FULL_SYMPLECTIC)
 
 
 def apply_method(H: CircuitHamiltonian, method: DecoupleMethod | str, **kwargs) -> DecoupleResult:

@@ -3,7 +3,8 @@
 A free mode is an inductor-flux direction that appears in neither the
 flux couplings nor the external-flux couplings: only its charge enters
 the Hamiltonian.  Such directions span
-ker(M0) ∩ ker(N^T) ∩ span(inductor axes).  They can be charge coupled to
+ker(M0) ∩ ker(N^T) ∩ span(inductor axes), found by one SVD of the
+constraints restricted to ker(M0).  They can be charge coupled to
 the rest of the circuit, so they cannot simply be deleted; instead a
 linear canonical transformation performs Gaussian elimination on the
 capacitance matrix C = C_inv^-1, which decouples the free modes while
@@ -19,16 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import canonical
-from .model import CircuitHamiltonian, require_valid
+from .model import CircuitHamiltonian, InvalidHamiltonianError, require_valid
 
 DEFAULT_THRESHOLD = 1e-8
-
-# Projector-product eigenvalues are clustered at 0 and 1 for cleanly
-# intersecting subspaces; anything above this counts as "in the intersection".
-_CLUSTER_CUT = 0.5
-
-# Alternating-projection polish rounds for the free-subspace basis.
-_POLISH_ROUNDS = 50
 
 
 class ThresholdAmbiguityError(ValueError):
@@ -47,31 +41,36 @@ class FreeModeReport:
     basis: np.ndarray  # (n, F), orthonormal columns
 
 
-def _kernel_projector(mat: np.ndarray, threshold: float, name: str) -> np.ndarray:
-    """Orthogonal projector onto the numerical kernel of ``mat`` (row space in R^n).
+def _null_mask(rel: np.ndarray, threshold: float, name: str) -> np.ndarray:
+    """Which relative singular values count as zero: those at or below ``threshold``.
 
-    Kernel membership is decided by singular-value thresholding at
-    ``threshold`` relative to the largest singular value; a singular value
-    within a factor of 10 of the cut is refused as ambiguous.
+    A singular value within a factor of 10 of the cut is refused as
+    ambiguous.
     """
-    n = mat.shape[1] if mat.ndim == 2 else mat.shape[0]
+    ambiguous = rel[(rel > threshold / 10.0) & (rel < threshold * 10.0)]
+    if ambiguous.size:
+        raise ThresholdAmbiguityError(
+            f"singular value of {name} at relative magnitude {ambiguous[0]:.3e} lies "
+            f"within a factor of 10 of the threshold {threshold:.0e}; cannot classify rank"
+        )
+    return rel <= threshold
+
+
+def _kernel_basis(mat: np.ndarray, threshold: float, name: str) -> np.ndarray:
+    """Orthonormal columns spanning the numerical kernel of ``mat`` (k x n) in R^n.
+
+    Singular values are taken relative to the largest one.  A wide ``mat``
+    has fewer than n singular values; the missing ones are zero.
+    """
+    n = mat.shape[1]
     if mat.size == 0:
         return np.eye(n)
     _, s, Vt = np.linalg.svd(mat)
     if s[0] == 0.0:
         return np.eye(n)
-    rel = s / s[0]
-    cut = threshold
-    ambiguous = rel[(rel > cut / 10.0) & (rel < cut * 10.0)]
-    if ambiguous.size:
-        raise ThresholdAmbiguityError(
-            f"singular value of {name} at relative magnitude {ambiguous[0]:.3e} lies "
-            f"within a factor of 10 of the threshold {cut:.0e}; cannot classify rank"
-        )
-    null_rows = Vt[rel <= cut]
-    if null_rows.size == 0:
-        return np.zeros((n, n))
-    return null_rows.T @ null_rows
+    rel = np.zeros(n)
+    rel[: s.size] = s / s[0]
+    return Vt[_null_mask(rel, threshold, name)].T
 
 
 def count_free_modes(
@@ -79,31 +78,22 @@ def count_free_modes(
 ) -> FreeModeReport:
     """Count free modes and return an orthonormal basis of their flux directions.
 
-    The intersection of the three subspaces is computed from the symmetric
-    projector product P_L P_M P_N P_M P_L, whose eigenvalues cluster at 1
-    exactly on the intersection; the basis is then polished by alternating
-    projections so that each column satisfies all three membership
-    constraints to well below ``threshold``.
+    With Z and Z_N orthonormal kernel bases of M0 and N^T, a direction Zc
+    is free when it lies in ker(N^T) and off the junction axes, i.e. when
+    [(I - Z_N Z_N^T) Z; Z[junction rows]] c = 0.  One SVD of that stacked
+    matrix gives the free directions as the right singular vectors whose
+    singular value is below ``threshold``.  These singular values are the
+    sines of the angles by which the directions miss ker(N^T) and the
+    inductor span, so they are already on a unit scale.
     """
     require_valid(H)
-    n = H.n
-    P_M = _kernel_projector(H.M0, threshold, "M0")
-    P_N = _kernel_projector(H.N.T, threshold, "N^T")
-    P_L = np.zeros((n, n))
-    for i in H.inductor_indices:
-        P_L[i, i] = 1.0
-
-    G = P_L @ P_M @ P_N @ P_M @ P_L
-    evals, evecs = np.linalg.eigh((G + G.T) / 2.0)
-    members = evals > _CLUSTER_CUT
-    F = int(members.sum())
-    if F == 0:
-        return FreeModeReport(F=0, basis=np.zeros((n, 0)))
-
-    basis = evecs[:, members]
-    for _ in range(_POLISH_ROUNDS):
-        basis = P_L @ (P_M @ (P_N @ basis))
-    basis, _ = np.linalg.qr(basis)
+    Z = _kernel_basis(H.M0, threshold, "M0")
+    Z_N = _kernel_basis(H.N.T, threshold, "N^T")
+    J = list(H.junction_indices)
+    _, s, Vt = np.linalg.svd(np.vstack([Z - Z_N @ (Z_N.T @ Z), Z[J]]))
+    basis = Z @ Vt[_null_mask(s, threshold, "the free-subspace constraints")].T
+    basis[J] = 0.0
+    F = basis.shape[1]
     # Deterministic column signs.
     picks = np.argmax(np.abs(basis), axis=0)
     signs = np.sign(basis[picks, np.arange(F)])
@@ -117,41 +107,29 @@ def expose_free_modes(
 ) -> tuple[CircuitHamiltonian, canonical.CanonicalTransform]:
     """Rotate inductor fluxes so the free directions become the first F coordinates.
 
-    The transform is orthogonal, acts only on inductor modes, and is
-    composed with a permutation placing the free modes first.  Afterwards
-    the first F rows of N and the first F rows and columns of M0 vanish.
+    The transform is orthogonal and acts only on inductor modes: a complete
+    QR of the free directions' inductor block completes them to an
+    orthonormal basis, and the rows of W are that basis with the free
+    directions moved to the front.  Afterwards the first F rows of N and
+    the first F rows and columns of M0 vanish.
     """
     n = H.n
-    if report.F == 0:
+    F = report.F
+    if F == 0:
         return H, canonical.CanonicalTransform.identity(n)
 
     L = list(H.inductor_indices)
     B_L = report.basis[L, :]  # free directions live in the inductor subspace
-    # Orthonormal completion of the free directions inside the inductor block.
-    Q, _ = np.linalg.qr(
-        np.hstack([B_L, np.eye(len(L))])
-    )
-    Q[:, : report.F] = B_L  # keep the exact free directions as leading columns
-    Q, _ = np.linalg.qr(Q)
-    # qr may flip signs of the leading columns; realign them with B_L.
-    for j in range(report.F):
-        if Q[:, j] @ B_L[:, j] < 0:
-            Q[:, j] = -Q[:, j]
+    Q, R = np.linalg.qr(B_L, mode="complete")
+    # B_L has orthonormal columns, so R is diagonal with entries +-1.
+    Q[:, :F] *= np.sign(np.diag(R))
 
     rot = np.eye(n)
     rot[np.ix_(L, L)] = Q.T  # rows of W are the target flux directions
-
-    # The rotated free coordinates sit at the first F inductor positions;
-    # permute them to the front.
-    free_positions = L[: report.F]
-    others = [i for i in range(n) if i not in free_positions]
-    perm = free_positions + others
-    P = np.zeros((n, n))
-    for new, old in enumerate(perm):
-        P[new, old] = 1.0
-
-    W = P @ rot
-    T = canonical.CanonicalTransform(W, rot.T @ P.T)
+    # The free coordinates sit at the first F inductor positions; move them
+    # to the front.
+    perm = L[:F] + [i for i in range(n) if i not in L[:F]]
+    T = canonical.CanonicalTransform.from_orthogonal(rot[perm])
     H_exposed = canonical.apply(H, T)
     # apply() carries kinds positionally; the permutation reorders them.
     kinds = tuple(H.kinds[old] for old in perm)
@@ -219,6 +197,11 @@ def remove_free_modes(
     report = count_free_modes(H, threshold)
     if report.F == 0:
         return H, canonical.CanonicalTransform.identity(H.n), report
+    if report.F == H.n:
+        raise InvalidHamiltonianError(
+            f"every mode is free (F = n = {H.n}): the Hamiltonian has no potential "
+            "and no discrete spectrum, so nothing remains after removal"
+        )
 
     H_exposed, T_expose = expose_free_modes(H, report)
     T_elim = gaussian_elim_transform(H_exposed, report.F)

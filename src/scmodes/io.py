@@ -25,15 +25,18 @@ class ParseError(ValueError):
     """Raised for malformed input files; carries file/line context."""
 
 
-def load_hamiltonian(path: str) -> CircuitHamiltonian:
+def _read_json(path: str):
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return hamiltonian_from_dict(data, origin=path)
+
+
+def load_hamiltonian(path: str) -> CircuitHamiltonian:
+    return hamiltonian_from_dict(_read_json(path), origin=path)
 
 
 def hamiltonian_from_dict(data: dict, origin: str = "<dict>") -> CircuitHamiltonian:
@@ -111,16 +114,14 @@ def save_transform(T: CanonicalTransform, path: str) -> None:
 
 
 def load_transform(path: str) -> CanonicalTransform:
+    data = _read_json(path)
     try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return CanonicalTransform(
-        np.array(data["W"], dtype=float), np.array(data["W_inv"], dtype=float)
-    )
+        W, W_inv = (np.array(data[key], dtype=float) for key in ("W", "W_inv"))
+    except KeyError as exc:
+        raise ParseError(f"{path}: missing required field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    return CanonicalTransform(W, W_inv)
 
 
 def format_value(x) -> str:

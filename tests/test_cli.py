@@ -99,6 +99,19 @@ def test_remove_free_noop(tmp_path, capsys):
     np.testing.assert_array_equal(T.W, np.eye(5))
 
 
+def test_remove_free_every_mode_free(tmp_path, capsys):
+    H = CircuitHamiltonian.create(
+        kinds=[ModeKind.INDUCTOR] * 2, C_inv=[[2.0, 0.3], [0.3, 1.5]], M0=np.zeros((2, 2))
+    )
+    path = tmp_path / "free.json"
+    io.save_hamiltonian(H, str(path))
+    code, _, err = run(
+        capsys, "remove-free", "--input", str(path), "--output", str(tmp_path / "out.json")
+    )
+    assert code == 1
+    assert "F = n = 2" in err
+
+
 # ---------------------------------------------------------------------------
 # decouple
 # ---------------------------------------------------------------------------
@@ -161,6 +174,27 @@ def test_spectrum_cpb_table(tmp_path, capsys):
         [-0.999, -0.00981, 0.979, 1.88, 1.97, 2.87, 2.96, 3.32, 3.85, 3.95],
         atol=0.01,
     )
+
+
+def test_spectrum_with_external_flux(tmp_path, capsys):
+    # one external-flux column for two modes
+    H = CircuitHamiltonian.create(
+        kinds=[ModeKind.JUNCTION, ModeKind.INDUCTOR],
+        C_inv=[[2.0, 0.3], [0.3, 1.5]],
+        M0=[[0.4, 0.1], [0.1, 0.8]],
+        N=[[0.0], [0.5]],
+        Phi_x=[0.25],
+        E_J=[3.0],
+    )
+    path = tmp_path / "biased.json"
+    io.save_hamiltonian(H, str(path))
+    code, out, err = run(
+        capsys, "spectrum", "--input", str(path), "--cutoff", "10", "--k", "3"
+    )
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines[0] == "level,energy"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2"]
 
 
 def test_spectrum_separable_toy(tmp_path, capsys):
@@ -253,6 +287,21 @@ def test_hamiltonian_file_round_trip(tmp_path, fluxonium):
     np.testing.assert_array_equal(H2.M0, fluxonium.M0)
     np.testing.assert_array_equal(H2.E_sign, fluxonium.E_sign)
     assert H2.kinds == fluxonium.kinds
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        ({"n": 1, "W": [[1.0]]}, "W_inv"),
+        ({"W": [[1.0]], "W_inv": [[1.0, 2.0], [3.0]]}, "t.transform.json"),
+        ([[1.0]], "t.transform.json"),
+    ],
+)
+def test_malformed_transform_file(tmp_path, data, message):
+    path = tmp_path / "t.transform.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(io.ParseError, match=message):
+        io.load_transform(str(path))
 
 
 def test_csv_format_is_stable(tmp_path):

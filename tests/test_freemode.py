@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import scmodes
 from scmodes import canonical, freemode
@@ -13,9 +14,14 @@ from scmodes.freemode import (
     gaussian_elim_transform,
     remove_free_modes,
 )
-from scmodes.model import CircuitHamiltonian, ModeKind
+from scmodes.model import CircuitHamiltonian, InvalidHamiltonianError, ModeKind
 
-from conftest import block_elim_transform, random_free_mode_instance, random_spd
+from conftest import (
+    block_elim_transform,
+    random_free_mode_instance,
+    random_orthogonal,
+    random_spd,
+)
 
 CPB_WT_INV = np.array(
     [
@@ -91,6 +97,99 @@ def test_ambiguous_singular_value_raises():
     )
     with pytest.raises(ThresholdAmbiguityError):
         count_free_modes(H, threshold=1e-8)
+
+
+def test_external_flux_with_fewer_columns_than_modes():
+    # one external-flux column for two modes (1 = m_x < n)
+    H = CircuitHamiltonian.create(
+        kinds=[ModeKind.JUNCTION, ModeKind.INDUCTOR],
+        C_inv=[[2.0, 0.3], [0.3, 1.5]],
+        M0=[[0.4, 0.1], [0.1, 0.8]],
+        N=[[0.0], [0.5]],
+        Phi_x=[0.25],
+        E_J=[3.0],
+    )
+    assert count_free_modes(H).F == 0
+    H_red, _, report = remove_free_modes(H)
+    assert H_red is H and report.F == 0
+
+
+def test_every_mode_free_raises():
+    H = CircuitHamiltonian.create(
+        kinds=[ModeKind.INDUCTOR] * 2, C_inv=[[2.0, 0.3], [0.3, 1.5]], M0=np.zeros((2, 2))
+    )
+    assert count_free_modes(H).F == 2
+    with pytest.raises(InvalidHamiltonianError, match=r"F = n = 2"):
+        remove_free_modes(H)
+
+
+@st.composite
+def hidden_free_mode_circuits(draw):
+    """(H, F): F free inductor directions hidden by a rotation of the inductor fluxes.
+
+    Built exposed, then rotated: the F free inductor modes and ``charged``
+    inductor modes have no M0 rows, the charged ones couple to the external
+    fluxes (so they are not free), and unshunted junctions have no M0 rows
+    either (so ker M0 also holds junction axes).
+    """
+    n = draw(st.integers(1, 6))
+    n_J = draw(st.integers(0, min(2, n - 1)))
+    m_x = draw(st.integers(0, 2))
+    n_L = n - n_J
+    F = draw(st.integers(0, n_L - (n_J == 0)))
+    charged = draw(st.integers(0, min(m_x, n_L - F)))
+    unshunted = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    J = sorted(rng.choice(n, n_J, replace=False).tolist())
+    L = [i for i in range(n) if i not in J]
+    no_potential = L[: F + charged] + (J if unshunted else [])
+    kept = [i for i in range(n) if i not in no_potential]
+    M0 = np.zeros((n, n))
+    M0[np.ix_(kept, kept)] = random_spd(rng, len(kept))
+    N = rng.standard_normal((n, m_x))
+    N[L[:F]] = 0.0
+    H = CircuitHamiltonian.create(
+        kinds=[ModeKind.JUNCTION if i in J else ModeKind.INDUCTOR for i in range(n)],
+        C_inv=random_spd(rng, n),
+        M0=M0,
+        N=N,
+        Phi_x=rng.uniform(-1.0, 1.0, m_x),
+        E_J=rng.uniform(1.0, 5.0, n_J),
+    )
+    W = np.eye(n)
+    W[np.ix_(L, L)] = random_orthogonal(rng, n_L)
+    return canonical.apply(H, canonical.CanonicalTransform.from_orthogonal(W)), F
+
+
+def squared_frequencies(H):
+    """Normal-mode frequencies squared: the eigenvalues of C_inv M0, ascending."""
+    chol = np.linalg.cholesky(H.C_inv)
+    return np.linalg.eigvalsh(chol.T @ H.M0 @ chol)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(hidden_free_mode_circuits())
+def test_free_mode_removal_properties(circuit):
+    H, F = circuit
+    report = count_free_modes(H)
+    assert report.F == F == stacked_kernel_rank_oracle(H)
+    B = report.basis
+    np.testing.assert_allclose(B.T @ B, np.eye(F), rtol=0, atol=1e-12)
+    assert np.abs(H.M0 @ B).max(initial=0) <= 1e-12 * np.abs(H.M0).max(initial=0)
+    assert np.abs(H.N.T @ B).max(initial=0) <= 1e-12 * np.abs(H.N).max(initial=0)
+    assert not B[list(H.junction_indices)].any()
+
+    H_red, _, _ = remove_free_modes(H)
+    assert H_red.n == H.n - F
+    assert count_free_modes(H_red).F == 0
+    # the free modes carry zero frequency; every other frequency survives
+    full, red = squared_frequencies(H), squared_frequencies(H_red)
+    nonzero = full > 1e-9 * full.max(initial=0)
+    assert np.count_nonzero(red > 1e-9 * full.max(initial=0)) == np.count_nonzero(nonzero)
+    np.testing.assert_allclose(
+        np.sqrt(red[red.size - nonzero.sum():]), np.sqrt(full[nonzero]), rtol=1e-10
+    )
 
 
 # ---------------------------------------------------------------------------

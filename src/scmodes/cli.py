@@ -87,10 +87,7 @@ def _transform_path(output: str) -> str:
 
 def cmd_decouple(args) -> int:
     H = io.load_hamiltonian(args.input)
-    if args.method == "sad":
-        result = decouple.simultaneous_approx_diag(H, max_sweeps=args.max_sweeps)
-    else:
-        result = decouple.apply_method(H, args.method)
+    result = decouple.apply_method(H, args.method, max_sweeps=args.max_sweeps)
     if args.output:
         io.save_hamiltonian(result.H_out, args.output)
         io.save_transform(result.T, _transform_path(args.output))
@@ -121,9 +118,11 @@ def cmd_converge(args) -> int:
 
 
 def cmd_rdm(args) -> int:
+    if args.state < 0:
+        raise ValueError(f"--state must be >= 0, got {args.state}")
     H = _prepare(args)
     cutoffs = _resolve_cutoffs(H, args)
-    result = spectrum.solve(H, cutoffs, k=max(1, args.state + 1))
+    result = spectrum.solve(H, cutoffs, k=args.state + 1)
     rows = []
     for mode in range(H.n):
         pops = spectrum.reduced_density_matrix(result, args.state, mode).populations

@@ -193,10 +193,13 @@ def full_symplectic(H: CircuitHamiltonian) -> DecoupleResult:
         ) from exc
 
 
-def apply_method(H: CircuitHamiltonian, method: DecoupleMethod | str, **kwargs) -> DecoupleResult:
+def apply_method(
+    H: CircuitHamiltonian, method: DecoupleMethod | str, max_sweeps: int = SAD_MAX_SWEEPS
+) -> DecoupleResult:
+    """The decoupling ``method`` applied to H; ``max_sweeps`` bounds SAD alone."""
     method = DecoupleMethod(method)
     if method is DecoupleMethod.SAD:
-        return simultaneous_approx_diag(H, **kwargs)
+        return simultaneous_approx_diag(H, max_sweeps=max_sweeps)
     if method is DecoupleMethod.INDUCTOR_SYMPLECTIC:
         return inductor_symplectic(H)
     return full_symplectic(H)

@@ -61,14 +61,14 @@ def hamiltonian_from_dict(data: dict, origin: str = "<dict>") -> CircuitHamilton
             Phi_x=np.array(data["Phi_x"], dtype=float) if data.get("Phi_x") else None,
             V=np.array(data["V"], dtype=float) if data.get("V") else None,
         )
+        if "J_args" in data:
+            H = H.replace(J_args=np.array(data["J_args"], dtype=float))
     except KeyError as exc:
         raise ParseError(f"{origin}: missing required field {exc}") from exc
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ParseError):
             raise
         raise ParseError(f"{origin}: {exc}") from exc
-    if "J_args" in data:
-        H = H.replace(J_args=np.array(data["J_args"], dtype=float))
     return H
 
 

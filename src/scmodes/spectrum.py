@@ -45,6 +45,8 @@ COUPLING_DROP_RTOL = 1e-12
 
 DENSE_LIMIT = 4096
 
+SOLVE_TOL = 1e-9  # default eigensolver tolerance
+
 # An eigenpair whose residual ||H v - E v|| exceeds this many solver
 # tolerances (at least machine epsilon), times max(1, |E|), is rejected.
 RESIDUAL_FACTOR = 100
@@ -471,7 +473,7 @@ def _residuals(op: ProductOperator, evals: np.ndarray, evecs: np.ndarray) -> np.
 
 
 def eigensolve(
-    op: ProductOperator, k: int, tol: float = 1e-9, start: np.ndarray | None = None
+    op: ProductOperator, k: int, tol: float = SOLVE_TOL, start: np.ndarray | None = None
 ) -> SpectrumResult:
     """k lowest eigenpairs: dense below DENSE_LIMIT, otherwise ARPACK.
 
@@ -486,6 +488,8 @@ def eigensolve(
     converge or when a returned pair's residual exceeds
     RESIDUAL_FACTOR * max(tol, eps) * max(1, |E|).
     """
+    if k < 1:
+        raise ValueError(f"k = {k} must be at least 1")
     if op.dim < k:
         raise ValueError(f"operator dimension {op.dim} is smaller than k = {k}")
     if op.dim <= DENSE_LIMIT or k >= op.dim - 1:
@@ -555,27 +559,36 @@ def make_locals_builder(H: CircuitHamiltonian):
     return build
 
 
-def solve(
-    H: CircuitHamiltonian,
-    cutoffs,
-    k: int = 10,
-    tol: float = 1e-9,
-    locals_builder=None,
-    start: np.ndarray | None = None,
-) -> SpectrumResult:
+def _warm_solver(H: CircuitHamiltonian, build, tol: float):
+    """solve_at(cutoffs, k): the k lowest eigenpairs of H at per-mode cutoffs.
+
+    Modes come from one builder ``build`` and couplings from one
+    :class:`CouplingSet`; each solve after the first starts from the last
+    result carried over by :func:`embed`.  The caller validates H.
+    """
+    couplings = CouplingSet.from_hamiltonian(H)
+    last = None
+
+    def solve_at(cutoffs, k: int) -> SpectrumResult:
+        nonlocal last
+        op = assemble_hamiltonian([build(m, d) for m, d in enumerate(cutoffs)], H, couplings)
+        start = None if last is None else embed(last.eigenvectors, last.cutoffs, op.dims)
+        last = eigensolve(op, k=k, tol=tol, start=start)
+        return last
+
+    return solve_at
+
+
+def solve(H: CircuitHamiltonian, cutoffs, k: int = 10, tol: float = SOLVE_TOL) -> SpectrumResult:
     """Build local modes at the given cutoffs, assemble, and eigensolve.
 
-    ``start`` is passed to :func:`eigensolve`: vectors at these cutoffs
-    that ARPACK starts from, e.g. an earlier solution through :func:`embed`.
+    A warm-started solve is ``eigensolve(op, k, start=embed(...))``.
     """
     require_valid(H)
     cutoffs = [int(d) for d in cutoffs]
     if len(cutoffs) != H.n:
         raise ValueError(f"{len(cutoffs)} cutoffs given for {H.n} modes")
-    builder = locals_builder or make_locals_builder(H)
-    locals_ = [builder(m, cutoffs[m]) for m in range(H.n)]
-    op = assemble_hamiltonian(locals_, H, CouplingSet.from_hamiltonian(H))
-    return eigensolve(op, k=k, tol=tol, start=start)
+    return _warm_solver(H, make_locals_builder(H), tol)(cutoffs, k)
 
 
 def embed(vectors: np.ndarray, old_dims, new_dims) -> np.ndarray:
@@ -627,67 +640,48 @@ def adaptive_cutoffs(
     d_init: int = 8,
     d_max: int = 64,
     max_rounds: int = 10,
-    tol: float = 1e-9,
+    tol: float = SOLVE_TOL,
 ) -> tuple[int, ...]:
     """Per-mode cutoffs d_k with ground-state populations below epsilon past d_k.
 
     Working dimensions start at d_init; a mode whose population has not
     decayed below epsilon by its last retained state is doubled (capped at
-    d_max, beyond which the offending mode raises), otherwise the minimal
-    d with all populations at indices >= d below epsilon becomes its
-    target.  Working dimensions then sit one state above the targets so
-    the criterion stays observable, and the rounds stop at a fixed point;
-    ``max_rounds`` without one raises :class:`CutoffLimitError`.
+    d_max, beyond which the offending mode raises), otherwise it moves to
+    one state past its target, the minimal d with all populations at
+    indices >= d below epsilon, so that the criterion stays observable.
+    The rounds stop when one leaves every working dimension unchanged,
+    and the targets, those dimensions minus one, are returned;
+    ``max_rounds`` without such a round raises :class:`CutoffLimitError`.
 
     Each round after the first starts ARPACK from the previous round's
-    ground state, embedded in the new working dimensions (see
-    :func:`eigensolve` for the random admixture that keeps other levels
-    reachable).
+    ground state, embedded in the new working dimensions.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     require_valid(H)
-    n = H.n
-    builder = make_locals_builder(H)
-    couplings = CouplingSet.from_hamiltonian(H)
-    work = [min(d_init, d_max)] * n
-    prev_targets = None
-    targets = list(work)
-    ground = None
+    solve_at = _warm_solver(H, make_locals_builder(H), tol)
+    work = [min(d_init, d_max)] * H.n
     for _ in range(max_rounds):
-        locals_ = [builder(m, work[m]) for m in range(n)]
-        op = assemble_hamiltonian(locals_, H, couplings)
-        start = None if ground is None else embed(ground.eigenvectors, ground.cutoffs, op.dims)
-        ground = eigensolve(op, k=1, tol=tol, start=start)
-        targets = []
-        grew = False
-        for m in range(n):
+        ground = solve_at(work, 1)
+        new = []
+        for m, d in enumerate(work):
             pops = reduced_density_matrix(ground, 0, m).populations
             above = np.nonzero(pops >= epsilon)[0]
             t = int(above[-1]) + 1 if above.size else 1
-            targets.append(t)
-            if t >= work[m]:
-                # Populations have not decayed below epsilon within this
-                # mode's working basis: double it.
-                if work[m] >= d_max:
-                    raise CutoffLimitError(
-                        f"mode {m}: population {pops[-1]:.3e} at state {work[m] - 1} "
-                        f"still exceeds epsilon = {epsilon:.3e} at d_max = {d_max}"
-                    )
-                work[m] = min(2 * work[m], d_max)
-                grew = True
+            if t < d:
+                new.append(t + 1)
+            elif d < d_max:
+                new.append(min(2 * d, d_max))
             else:
-                # Shrink to one past the target so the criterion at index t
-                # stays observable next round.
-                work[m] = t + 1
-        if grew:
-            prev_targets = None
-            continue
-        if targets == prev_targets:
-            return tuple(targets)
-        prev_targets = targets
+                raise CutoffLimitError(
+                    f"mode {m}: population {pops[-1]:.3e} at state {d - 1} "
+                    f"still exceeds epsilon = {epsilon:.3e} at d_max = {d_max}"
+                )
+        if new == work:
+            return tuple(d - 1 for d in work)
+        work = new
     raise CutoffLimitError(
-        f"no fixed point after {max_rounds} rounds; last targets {tuple(targets)}"
+        f"no fixed point after {max_rounds} rounds; next working dimensions {tuple(work)}"
     )
 
 
@@ -696,20 +690,13 @@ def spectrum_vs_cutoff(H: CircuitHamiltonian, k: int, d_values) -> list[tuple[in
 
     Every mode is built once at the largest d, so each point truncates
     one nested basis, and each solve after the first starts ARPACK from
-    the previous point's k eigenvectors, embedded in the new cutoffs (see
-    :func:`eigensolve` for the random admixture that keeps other levels
-    reachable).
+    the previous point's k eigenvectors, embedded in the new cutoffs.
     """
     require_valid(H)
     d_values = [int(d) for d in d_values]
-    builder = make_locals_builder(H)
+    build = make_locals_builder(H)
     if d_values:
         for m in range(H.n):
-            builder(m, max(d_values))
-    rows = []
-    result = None
-    for d in d_values:
-        start = None if result is None else embed(result.eigenvectors, result.cutoffs, (d,) * H.n)
-        result = solve(H, [d] * H.n, k=k, locals_builder=builder, start=start)
-        rows.append((d, result.eigenvalues))
-    return rows
+            build(m, max(d_values))
+    solve_at = _warm_solver(H, build, SOLVE_TOL)
+    return [(d, solve_at((d,) * H.n, k).eigenvalues) for d in d_values]

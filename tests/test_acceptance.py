@@ -221,12 +221,16 @@ def test_criterion_08_convergence_ordering(fluxonium_pipelines):
         gaps = {}
         for name, Hp in fluxonium_pipelines.items():
             builder = spectrum.make_locals_builder(Hp)
-            r6 = scmodes.solve(Hp, [6] * 5, k=4, locals_builder=builder, tol=1e-7)
+            couplings = spectrum.CouplingSet.from_hamiltonian(Hp)
+
+            def op(d):
+                locs = [builder(m, d) for m in range(5)]
+                return spectrum.assemble_hamiltonian(locs, Hp, couplings)
+
+            r6 = spectrum.eigensolve(op(6), k=4, tol=1e-7)
             # the d = 14 solve starts from the d = 6 eigenvectors
             start = spectrum.embed(r6.eigenvectors, r6.cutoffs, (14,) * 5)
-            e14 = scmodes.solve(
-                Hp, [14] * 5, k=4, locals_builder=builder, tol=1e-7, start=start
-            ).eigenvalues
+            e14 = spectrum.eigensolve(op(14), k=4, tol=1e-7, start=start).eigenvalues
             gaps[name] = np.abs(r6.eigenvalues - e14).max()
         assert gaps["none"] > gaps["sad"] > gaps["ios"] > gaps["fs"], gaps
     assert t.elapsed < 1800.0

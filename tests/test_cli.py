@@ -254,6 +254,17 @@ def test_rdm_csv(tmp_path, capsys):
     np.testing.assert_allclose(ground_pop, 1.0, atol=1e-10)
 
 
+def test_rdm_negative_state_is_an_error(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before rejecting --state")
+
+    monkeypatch.setattr(cli.spectrum, "solve", no_solve)
+    toy = write_toy(tmp_path)
+    code, out, err = run(capsys, "rdm", "--input", str(toy), "--cutoff", "4", "--state", "-1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "--state" in err
+
+
 def test_adaptive_cutoffs_csv(tmp_path, capsys):
     toy = write_toy(tmp_path)
     code, out, _ = run(
@@ -302,6 +313,15 @@ def test_malformed_transform_file(tmp_path, data, message):
     path.write_text(json.dumps(data))
     with pytest.raises(io.ParseError, match=message):
         io.load_transform(str(path))
+
+
+def test_malformed_hamiltonian_j_args(tmp_path, fluxonium):
+    data = io.hamiltonian_to_dict(fluxonium)
+    data["J_args"] = [1.0, 0.0, 0.0]
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(io.ParseError, match="h.json: cannot reshape"):
+        io.load_hamiltonian(str(path))
 
 
 def test_csv_format_is_stable(tmp_path):

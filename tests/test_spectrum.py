@@ -417,6 +417,11 @@ def test_eigensolve_rejects_k_above_dimension():
         scmodes.solve(H, [2, 2], k=5)
 
 
+def test_eigensolve_rejects_k_below_one():
+    with pytest.raises(ValueError, match="k = 0"):
+        eigensolve(assembled(coupled_pair(), [3, 3]), k=0)
+
+
 def assembled(H, dims):
     builder = make_locals_builder(H)
     locs = [builder(m, d) for m, d in enumerate(dims)]
@@ -534,9 +539,9 @@ def test_embedded_eigenvector_keeps_rayleigh_quotient(fluxonium):
     # subspace of the [7]*5 one and the operators agree on it.
     H = scmodes.full_symplectic(fluxonium).H_out
     builder = make_locals_builder(H)
-    res6 = scmodes.solve(H, [6] * 5, k=1, locals_builder=builder)
-    op7 = assemble_hamiltonian(
-        [builder(m, 7) for m in range(5)], H, CouplingSet.from_hamiltonian(H))
+    couplings = CouplingSet.from_hamiltonian(H)
+    res6 = eigensolve(assemble_hamiltonian([builder(m, 6) for m in range(5)], H, couplings), k=1)
+    op7 = assemble_hamiltonian([builder(m, 7) for m in range(5)], H, couplings)
     v = embed(res6.eigenvectors, res6.cutoffs, op7.dims)
     np.testing.assert_allclose(np.linalg.norm(v), 1.0, rtol=1e-14)
     quotient = (v.conj().T @ op7.matmat(v)).real.item()
@@ -561,6 +566,24 @@ def test_start_in_one_parity_sector_still_finds_all_levels():
 def test_warm_started_adaptive_cutoffs_unchanged(fluxonium):
     H = scmodes.full_symplectic(fluxonium).H_out
     assert adaptive_cutoffs(H, epsilon=1e-8) == (16, 14, 3, 2, 1)
+
+
+def test_sequences_solve_once_per_point_through_module_eigensolve(fluxonium, monkeypatch):
+    # The benchmark counts solves by patching spectrum.eigensolve, so every
+    # sequence looks it up at call time and solves once per point.
+    dims = []
+
+    def recording(op, *args, **kwargs):
+        dims.append(op.dims)
+        return eigensolve(op, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "eigensolve", recording)
+    spectrum_vs_cutoff(fluxonium, 4, [6, 7])
+    assert dims == [(6,) * 5, (7,) * 5]
+    dims.clear()
+    H = scmodes.full_symplectic(fluxonium).H_out
+    assert adaptive_cutoffs(H, epsilon=1e-8) == (16, 14, 3, 2, 1)
+    assert dims == [(8,) * 5, (16, 16, 4, 3, 2), (32, 15, 4, 3, 2), (17, 15, 4, 3, 2)]
 
 
 def test_warm_started_sweep_matches_cold_solves(fluxonium):

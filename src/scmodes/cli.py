@@ -37,6 +37,16 @@ def _parse_ints(text: str) -> list[int]:
     return values
 
 
+def _check_ranges(args):
+    """Reject a bad --k, --epsilon or --state before any file is read."""
+    if getattr(args, "k", 1) < 1:
+        raise ValueError(f"k = {args.k} must be at least 1")
+    if getattr(args, "epsilon", 1.0) <= 0:
+        raise ValueError("epsilon must be positive")
+    if getattr(args, "state", 0) < 0:
+        raise ValueError(f"--state must be >= 0, got {args.state}")
+
+
 def _prepare(args):
     """Load, remove free modes (which validates), and apply the decoupling method."""
     H = io.load_hamiltonian(args.input)
@@ -118,8 +128,6 @@ def cmd_converge(args) -> int:
 
 
 def cmd_rdm(args) -> int:
-    if args.state < 0:
-        raise ValueError(f"--state must be >= 0, got {args.state}")
     H = _prepare(args)
     cutoffs = _resolve_cutoffs(H, args)
     result = spectrum.solve(H, cutoffs, k=args.state + 1)
@@ -212,6 +220,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_ranges(args)
         return args.func(args)
     except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

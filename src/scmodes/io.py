@@ -1,10 +1,20 @@
 """File formats: Hamiltonian JSON, transform JSON, and CSV output.
 
-A Hamiltonian file is a JSON object with fields
-{n, n_J, mode_kinds, C_inv, M0, N, C_V, E_J: [{value, sign}], Phi_x, V};
-matrices are row-major nested arrays.  N, C_V, Phi_x, V may be omitted
-when empty.  Files written after a decoupling transform additionally
-carry a J_args matrix; on input it defaults to identity-selector rows.
+A Hamiltonian file is a JSON object whose matrices are row-major nested
+arrays, for n modes of which n_J are junctions:
+
+    n, n_J      optional; checked against mode_kinds and E_J when given
+    mode_kinds  n strings, "junction" or "inductor"
+    C_inv, M0   (n, n)
+    N, C_V      (n, m_x) and (n, m_v)
+    E_J         n_J objects {value, sign}, sign +1 (the default) or -1
+    J_args      (n_J, n), written only when it differs from the rows that
+                select the junction modes
+    Phi_x, V    (m_x,) and (m_v,)
+
+Every shape is checked as written; nothing is reshaped.  A field after
+M0 that is absent or empty takes the CircuitHamiltonian default: no
+external fluxes or voltages, zero Phi_x and V, and selector J_args.
 
 CSV output uses a header row, 12 significant digits, comma separators,
 and LF line endings, so golden outputs are bit-stable across platforms.
@@ -18,7 +28,7 @@ import sys
 import numpy as np
 
 from .canonical import CanonicalTransform
-from .model import CircuitHamiltonian, ModeKind
+from .model import CircuitHamiltonian, junction_selectors
 
 
 class ParseError(ValueError):
@@ -41,28 +51,24 @@ def load_hamiltonian(path: str) -> CircuitHamiltonian:
 
 def hamiltonian_from_dict(data: dict, origin: str = "<dict>") -> CircuitHamiltonian:
     try:
-        kinds = [ModeKind(k) for k in data["mode_kinds"]]
-        n = len(kinds)
+        n = len(data["mode_kinds"])
         if "n" in data and int(data["n"]) != n:
             raise ParseError(f"{origin}: n = {data['n']} but {n} mode kinds listed")
         ej_entries = data.get("E_J", [])
-        E_J = [float(e["value"]) for e in ej_entries]
-        E_sign = [float(e.get("sign", 1)) for e in ej_entries]
-        if "n_J" in data and int(data["n_J"]) != len(E_J):
-            raise ParseError(f"{origin}: n_J = {data['n_J']} but {len(E_J)} junction energies listed")
-        H = CircuitHamiltonian.create(
-            kinds=kinds,
-            C_inv=np.array(data["C_inv"], dtype=float),
-            M0=np.array(data["M0"], dtype=float),
-            N=np.array(data["N"], dtype=float) if data.get("N") else None,
-            C_V=np.array(data["C_V"], dtype=float) if data.get("C_V") else None,
-            E_J=E_J,
-            E_sign=E_sign,
-            Phi_x=np.array(data["Phi_x"], dtype=float) if data.get("Phi_x") else None,
-            V=np.array(data["V"], dtype=float) if data.get("V") else None,
+        if "n_J" in data and int(data["n_J"]) != len(ej_entries):
+            raise ParseError(f"{origin}: n_J = {data['n_J']} but {len(ej_entries)} junction energies listed")
+        H = CircuitHamiltonian(
+            kinds=data["mode_kinds"],
+            C_inv=data["C_inv"],
+            M0=data["M0"],
+            N=data.get("N"),
+            C_V=data.get("C_V"),
+            E_J=[float(e["value"]) for e in ej_entries],
+            E_sign=[float(e.get("sign", 1)) for e in ej_entries],
+            J_args=data.get("J_args"),
+            Phi_x=data.get("Phi_x"),
+            V=data.get("V"),
         )
-        if "J_args" in data:
-            H = H.replace(J_args=np.array(data["J_args"], dtype=float))
     except KeyError as exc:
         raise ParseError(f"{origin}: missing required field {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -87,10 +93,7 @@ def hamiltonian_to_dict(H: CircuitHamiltonian) -> dict:
         "Phi_x": H.Phi_x.tolist(),
         "V": H.V.tolist(),
     }
-    selectors = np.zeros_like(H.J_args)
-    for row, mode in enumerate(H.junction_indices):
-        selectors[row, mode] = 1.0
-    if H.J_args.shape != selectors.shape or not np.array_equal(H.J_args, selectors):
+    if not np.array_equal(H.J_args, junction_selectors(H.kinds)):
         data["J_args"] = H.J_args.tolist()
     return data
 

@@ -37,10 +37,23 @@ class ModeKind(Enum):
     INDUCTOR = "inductor"
 
 
-def _frozen(a, dtype=float):
-    out = np.array(a, dtype=dtype)
-    out.setflags(write=False)
-    return out
+def _given(value, default):
+    """``value``, or ``default`` when it is absent (None) or empty."""
+    return default if value is None or np.size(value) == 0 else value
+
+
+def _shaped(name: str, value, shape: tuple) -> np.ndarray:
+    """``value`` as a new float array, whose shape as given must match ``shape``.
+
+    A None entry of ``shape`` matches any length.  Nothing is reshaped, so
+    a transposed or flattened matrix is rejected rather than rebuilt.
+    """
+    a = np.array(value, dtype=float)
+    if a.ndim != len(shape) or any(s not in (None, d) for s, d in zip(shape, a.shape)):
+        expected = ", ".join("any" if s is None else str(s) for s in shape)
+        expected += "," if len(shape) == 1 else ""
+        raise InvalidHamiltonianError(f"{name} has shape {a.shape}, expected ({expected})")
+    return a
 
 
 def _symmetrized(a: np.ndarray, name: str) -> np.ndarray:
@@ -54,104 +67,70 @@ def _symmetrized(a: np.ndarray, name: str) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
+def junction_selectors(kinds) -> np.ndarray:
+    """The default ``J_args``: row i selects the flux of the i-th junction mode."""
+    junctions = [i for i, k in enumerate(kinds) if k is ModeKind.JUNCTION]
+    rows = np.zeros((len(junctions), len(kinds)))
+    rows[np.arange(len(junctions)), junctions] = 1.0
+    return rows
+
+
 @dataclass(frozen=True)
 class CircuitHamiltonian:
     """Immutable container for one circuit Hamiltonian.
 
-    Use :meth:`create` to build one from raw inputs; the plain constructor
-    is for internal use by canonical transforms, which produce non-selector
-    ``J_args`` rows.
+    The one way to build it, from raw inputs and from transformed ones
+    alike (``replace``, canonical transforms, free-mode removal).  ``kinds``
+    may hold :class:`ModeKind` values or their strings.  A field after
+    ``M0`` that is absent (None) or empty takes its default: no external
+    fluxes or voltages, no junctions, sign +1 for every junction, and
+    ``J_args`` rows that select the junction modes in positional order.
+    Every array must have its documented shape as given; nothing is
+    reshaped.  C_inv and M0 must be symmetric up to SYMMETRY_RTOL, and the
+    rounding asymmetry is averaged away exactly.
     """
 
     kinds: tuple[ModeKind, ...]
     C_inv: np.ndarray  # (n, n) charge couplings, GHz*h
     M0: np.ndarray     # (n, n) flux couplings, GHz*h
-    N: np.ndarray      # (n, m_x) external-flux couplings, GHz*h
-    C_V: np.ndarray    # (n, m_v) voltage couplings, Farad/(2e)
-    E_J: np.ndarray    # (n_J,) junction energies, GHz*h
-    E_sign: np.ndarray  # (n_J,) +1 or -1 per junction
-    J_args: np.ndarray  # (n_J, n) cosine argument coefficients
-    Phi_x: np.ndarray  # (m_x,) dimensionless external fluxes
-    V: np.ndarray      # (m_v,) volts
+    N: np.ndarray = None       # (n, m_x) external-flux couplings, GHz*h
+    C_V: np.ndarray = None     # (n, m_v) voltage couplings, Farad/(2e)
+    E_J: np.ndarray = ()       # (n_J,) junction energies, GHz*h
+    E_sign: np.ndarray = None  # (n_J,) +1 or -1 per junction
+    J_args: np.ndarray = None  # (n_J, n) cosine argument coefficients
+    Phi_x: np.ndarray = None   # (m_x,) dimensionless external fluxes
+    V: np.ndarray = None       # (m_v,) volts
 
     def __post_init__(self):
-        kinds = tuple(self.kinds)
-        n = len(kinds)
-        set_ = object.__setattr__
-        set_(self, "kinds", kinds)
-        set_(self, "C_inv", _frozen(_symmetrized(np.asarray(self.C_inv, dtype=float), "C_inv")))
-        set_(self, "M0", _frozen(_symmetrized(np.asarray(self.M0, dtype=float), "M0")))
-        set_(self, "N", _frozen(np.asarray(self.N, dtype=float).reshape(n, -1)))
-        set_(self, "C_V", _frozen(np.asarray(self.C_V, dtype=float).reshape(n, -1)))
-        set_(self, "E_J", _frozen(self.E_J))
-        set_(self, "E_sign", _frozen(self.E_sign))
-        set_(self, "J_args", _frozen(np.asarray(self.J_args, dtype=float).reshape(len(self.E_J), n)))
-        set_(self, "Phi_x", _frozen(self.Phi_x))
-        set_(self, "V", _frozen(self.V))
-        self._check_dimensions()
-
-    @classmethod
-    def create(
-        cls,
-        kinds,
-        C_inv,
-        M0,
-        N=None,
-        C_V=None,
-        E_J=(),
-        E_sign=None,
-        Phi_x=None,
-        V=None,
-    ) -> "CircuitHamiltonian":
-        """Build a Hamiltonian with identity-selector junction rows.
-
-        ``E_J[i]`` is assigned to the i-th junction mode in positional
-        order; its cosine argument is that mode's flux operator.
-        """
-        kinds = tuple(ModeKind(k) if not isinstance(k, ModeKind) else k for k in kinds)
-        n = len(kinds)
-        junctions = [i for i, k in enumerate(kinds) if k is ModeKind.JUNCTION]
-        E_J = np.asarray(E_J, dtype=float)
-        if len(junctions) != E_J.size:
+        kinds = tuple(ModeKind(k) for k in self.kinds)
+        n, n_J = len(kinds), kinds.count(ModeKind.JUNCTION)
+        E_J = np.asarray(_given(self.E_J, ()), dtype=float)
+        if E_J.size != n_J:
             raise InvalidHamiltonianError(
-                f"{E_J.size} junction energies given for {len(junctions)} junction modes"
+                f"{E_J.size} junction energies given for {n_J} junction modes"
             )
-        if E_sign is None:
-            E_sign = np.ones(E_J.size)
-        E_sign = np.asarray(E_sign, dtype=float)
+        N = _shaped("N", _given(self.N, np.zeros((n, 0))), (n, None))
+        C_V = _shaped("C_V", _given(self.C_V, np.zeros((n, 0))), (n, None))
+        E_sign = _shaped("E_sign", _given(self.E_sign, np.ones(n_J)), (n_J,))
         if not np.all(np.abs(E_sign) == 1.0):
             raise InvalidHamiltonianError("junction sign flags must be +1 or -1")
-        J_args = np.zeros((E_J.size, n))
-        for row, mode in enumerate(junctions):
-            J_args[row, mode] = 1.0
-        if N is None:
-            N = np.zeros((n, 0))
-        if C_V is None:
-            C_V = np.zeros((n, 0))
-        N = np.asarray(N, dtype=float).reshape(n, -1)
-        C_V = np.asarray(C_V, dtype=float).reshape(n, -1)
-        if Phi_x is None:
-            Phi_x = np.zeros(N.shape[1])
-        if V is None:
-            V = np.zeros(C_V.shape[1])
-        return cls(kinds, C_inv, M0, N, C_V, E_J, E_sign, J_args, Phi_x, V)
-
-    def _check_dimensions(self):
-        n = self.n
-        checks = [
-            (self.C_inv.shape == (n, n), f"C_inv shape {self.C_inv.shape} != ({n}, {n})"),
-            (self.M0.shape == (n, n), f"M0 shape {self.M0.shape} != ({n}, {n})"),
-            (self.N.shape[0] == n, f"N has {self.N.shape[0]} rows, expected {n}"),
-            (self.C_V.shape[0] == n, f"C_V has {self.C_V.shape[0]} rows, expected {n}"),
-            (self.E_J.shape == (self.n_J,), "one E_J per junction mode required"),
-            (self.E_sign.shape == self.E_J.shape, "one sign flag per junction required"),
-            (self.J_args.shape == (self.n_J, n), "J_args must be (n_J, n)"),
-            (self.Phi_x.shape == (self.N.shape[1],), "Phi_x length must match N columns"),
-            (self.V.shape == (self.C_V.shape[1],), "V length must match C_V columns"),
-        ]
-        for ok, msg in checks:
-            if not ok:
-                raise InvalidHamiltonianError(msg)
+        arrays = {
+            "C_inv": _shaped("C_inv", self.C_inv, (n, n)),
+            "M0": _shaped("M0", self.M0, (n, n)),
+            "N": N,
+            "C_V": C_V,
+            "E_J": _shaped("E_J", E_J, (n_J,)),
+            "E_sign": E_sign,
+            "J_args": _shaped("J_args", _given(self.J_args, junction_selectors(kinds)), (n_J, n)),
+            "Phi_x": _shaped("Phi_x", _given(self.Phi_x, np.zeros(N.shape[1])), (N.shape[1],)),
+            "V": _shaped("V", _given(self.V, np.zeros(C_V.shape[1])), (C_V.shape[1],)),
+        }
+        arrays["C_inv"] = _symmetrized(arrays["C_inv"], "C_inv")
+        arrays["M0"] = _symmetrized(arrays["M0"], "M0")
+        object.__setattr__(self, "kinds", kinds)
+        for name, value in arrays.items():
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:

@@ -259,12 +259,12 @@ def test_criterion_09_adaptive_cutoffs(fluxonium):
 def test_criterion_10_lemma1_equivalence():
     rng = np.random.default_rng(1001)
     with Timer() as t:
-        H_quad = CircuitHamiltonian.create(
+        H_quad = CircuitHamiltonian(
             kinds=[ModeKind.INDUCTOR] * 2,
             C_inv=np.array([[2.0, 0.5], [0.5, 3.0]]),
             M0=np.array([[1.2, 0.3], [0.3, 2.2]]),
         )
-        H_junc = CircuitHamiltonian.create(
+        H_junc = CircuitHamiltonian(
             kinds=[ModeKind.JUNCTION, ModeKind.INDUCTOR],
             C_inv=np.array([[3.0, 0.4], [0.4, 5.0]]),
             M0=np.array([[0.8, 0.2], [0.2, 2.0]]),

@@ -104,7 +104,7 @@ def test_offdiag_norm_fluxonium(fluxonium):
 
 
 def test_offdiag_norm_diagonal_is_zero():
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=[ModeKind.INDUCTOR] * 3, C_inv=np.diag([1.0, 2.0, 3.0]), M0=np.eye(3)
     )
     assert offdiag_norm(H) == 0.0
@@ -144,7 +144,7 @@ def test_givens_cross_block_sum_invariance():
 
 
 def two_mode_instance():
-    return CircuitHamiltonian.create(
+    return CircuitHamiltonian(
         kinds=[ModeKind.INDUCTOR] * 2,
         C_inv=np.array([[2.0, 0.4], [0.4, 3.0]]),
         M0=np.array([[1.5, 0.3], [0.3, 2.5]]),

@@ -1,15 +1,17 @@
 """Command-line interface: file round trips, golden outputs, error paths."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from scmodes import cli, io
+from scmodes import canonical, cli, io
 from scmodes.cli import main
 from scmodes.model import CircuitHamiltonian, ModeKind
 
-from conftest import CPB_PATH, FLUXONIUM_PATH
+from conftest import CPB_PATH, FLUXONIUM_PATH, random_orthogonal, random_spd
 
 
 def run(capsys, *argv):
@@ -19,7 +21,7 @@ def run(capsys, *argv):
 
 
 def write_toy(tmp_path, name="toy.json"):
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=[ModeKind.INDUCTOR] * 2,
         C_inv=np.diag([1.0, 2.0]),
         M0=np.diag([1.0, 2.0]),
@@ -100,7 +102,7 @@ def test_remove_free_noop(tmp_path, capsys):
 
 
 def test_remove_free_every_mode_free(tmp_path, capsys):
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=[ModeKind.INDUCTOR] * 2, C_inv=[[2.0, 0.3], [0.3, 1.5]], M0=np.zeros((2, 2))
     )
     path = tmp_path / "free.json"
@@ -178,7 +180,7 @@ def test_spectrum_cpb_table(tmp_path, capsys):
 
 def test_spectrum_with_external_flux(tmp_path, capsys):
     # one external-flux column for two modes
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=[ModeKind.JUNCTION, ModeKind.INDUCTOR],
         C_inv=[[2.0, 0.3], [0.3, 1.5]],
         M0=[[0.4, 0.1], [0.1, 0.8]],
@@ -265,6 +267,25 @@ def test_rdm_negative_state_is_an_error(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: ") and "--state" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["spectrum", "--k", "0"], "k = 0 must be at least 1"),
+        (["converge", "--cutoff", "4", "--k", "-2"], "k = -2 must be at least 1"),
+        (["spectrum", "--epsilon", "0"], "epsilon must be positive"),
+        (["rdm", "--epsilon=-1e-8"], "epsilon must be positive"),
+        (["adaptive-cutoffs", "--epsilon", "0"], "epsilon must be positive"),
+    ],
+)
+def test_bad_k_or_epsilon_rejected_before_loading(capsys, monkeypatch, argv, message):
+    def no_prepare(args):
+        raise AssertionError("prepared the circuit before rejecting the option")
+
+    monkeypatch.setattr(cli, "_prepare", no_prepare)
+    code, out, err = run(capsys, *argv, "--input", str(FLUXONIUM_PATH))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_adaptive_cutoffs_csv(tmp_path, capsys):
     toy = write_toy(tmp_path)
     code, out, _ = run(
@@ -300,6 +321,46 @@ def test_hamiltonian_file_round_trip(tmp_path, fluxonium):
     assert H2.kinds == fluxonium.kinds
 
 
+@st.composite
+def transformed_circuits(draw):
+    """(H, apply(H, T)): a circuit with every field set, and its image under
+    a random canonical transform, whose J_args are no longer selector rows."""
+    n = draw(st.integers(1, 5))
+    n_J = draw(st.integers(0, n))
+    m_x, m_v = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = [ModeKind.JUNCTION] * n_J + [ModeKind.INDUCTOR] * (n - n_J)
+    H = CircuitHamiltonian(
+        kinds=[kinds[i] for i in rng.permutation(n)],
+        C_inv=random_spd(rng, n),
+        M0=random_spd(rng, n),
+        N=rng.standard_normal((n, m_x)),
+        C_V=rng.standard_normal((n, m_v)),
+        E_J=rng.uniform(1.0, 5.0, n_J),
+        E_sign=rng.choice([-1.0, 1.0], n_J),
+        Phi_x=rng.uniform(-1.0, 1.0, m_x),
+        V=rng.uniform(-0.01, 0.01, m_v),
+    )
+    W = random_orthogonal(rng, n) * rng.uniform(0.5, 2.0, n)
+    return H, canonical.apply(H, canonical.CanonicalTransform.from_matrix(W))
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(transformed_circuits())
+def test_hamiltonian_file_round_trip_is_bit_exact(tmp_path_factory, circuit):
+    path = tmp_path_factory.mktemp("round_trip") / "h.json"
+    for H in circuit:
+        io.save_hamiltonian(H, str(path))
+        H2 = io.load_hamiltonian(str(path))
+        assert H2.kinds == H.kinds
+        for field in dataclasses.fields(H)[1:]:
+            a, b = getattr(H, field.name), getattr(H2, field.name)
+            assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), field.name
+    original, transformed = circuit
+    assert "J_args" not in io.hamiltonian_to_dict(original)
+    assert ("J_args" in io.hamiltonian_to_dict(transformed)) == (transformed.n_J > 0)
+
+
 @pytest.mark.parametrize(
     "data,message",
     [
@@ -315,13 +376,23 @@ def test_malformed_transform_file(tmp_path, data, message):
         io.load_transform(str(path))
 
 
-def test_malformed_hamiltonian_j_args(tmp_path, fluxonium):
+def load_with_j_args(tmp_path, fluxonium, j_args):
     data = io.hamiltonian_to_dict(fluxonium)
-    data["J_args"] = [1.0, 0.0, 0.0]
+    data["J_args"] = j_args
     path = tmp_path / "h.json"
     path.write_text(json.dumps(data))
-    with pytest.raises(io.ParseError, match="h.json: cannot reshape"):
-        io.load_hamiltonian(str(path))
+    return io.load_hamiltonian(str(path))
+
+
+def test_malformed_hamiltonian_j_args(tmp_path, fluxonium):
+    with pytest.raises(io.ParseError, match=r"h.json: J_args has shape \(3,\), expected \(2, 5\)"):
+        load_with_j_args(tmp_path, fluxonium, [1.0, 0.0, 0.0])
+
+
+def test_transposed_hamiltonian_j_args(tmp_path, fluxonium):
+    # the (5, 2) transpose must not be reshaped into another (2, 5) circuit
+    with pytest.raises(io.ParseError, match=r"h.json: J_args has shape \(5, 2\), expected \(2, 5\)"):
+        load_with_j_args(tmp_path, fluxonium, fluxonium.J_args.T.tolist())
 
 
 def test_csv_format_is_stable(tmp_path):

@@ -43,7 +43,7 @@ FS_JARGS_EXPECTED = np.array(
 
 
 def two_mode_with_junction():
-    return CircuitHamiltonian.create(
+    return CircuitHamiltonian(
         kinds=[ModeKind.JUNCTION, ModeKind.INDUCTOR],
         C_inv=np.array([[3.0, 0.4], [0.4, 5.0]]),
         M0=np.array([[0.8, 0.2], [0.2, 2.0]]),
@@ -67,7 +67,7 @@ def test_sad_fluxonium_golden(fluxonium):
 
 
 def test_sad_already_diagonal_is_identity():
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=[ModeKind.INDUCTOR] * 3,
         C_inv=np.diag([1.0, 2.0, 3.0]),
         M0=np.diag([2.0, 1.0, 4.0]),
@@ -96,7 +96,7 @@ def test_sad_pair_angle_matches_grid_scan():
         values = np.array([objective(t) for t in thetas])
         best_grid = values.min()
 
-        H = CircuitHamiltonian.create(kinds=[ModeKind.INDUCTOR] * 2, C_inv=C, M0=M0)
+        H = CircuitHamiltonian(kinds=[ModeKind.INDUCTOR] * 2, C_inv=C, M0=M0)
         result = simultaneous_approx_diag(H, max_sweeps=1)
         assert result.offdiag_after <= result.offdiag_before
         assert result.offdiag_after <= best_grid + 1e-6
@@ -125,7 +125,7 @@ def test_round_robin_meets_every_inductor_pair_once_per_sweep():
     rng = np.random.default_rng(53)
     for n_L in range(10):
         kinds = mixed_kinds(rng, n_L, 3)
-        H = CircuitHamiltonian.create(
+        H = CircuitHamiltonian(
             kinds=kinds, C_inv=np.eye(n_L + 3), M0=np.eye(n_L + 3), E_J=[1.0] * 3
         )
         L = H.inductor_indices
@@ -150,7 +150,7 @@ def test_jacobi_angle_vector_matches_scalar():
 def test_sad_steps_match_pairwise_oracle():
     """Each step's vectorized update equals rotating its pairs one by one."""
     rng = np.random.default_rng(61)
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=[ModeKind.INDUCTOR] * 12, C_inv=random_spd(rng, 12), M0=random_spd(rng, 12)
     )
     trace = []
@@ -170,7 +170,7 @@ def test_sad_large_random_circuit_invariants():
     rng = np.random.default_rng(67)
     n, n_J = 40, 5
     kinds = mixed_kinds(rng, n - n_J, n_J)
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=kinds,
         C_inv=5.0 * random_spd(rng, n, 30.0),
         M0=random_spd(rng, n, 30.0),
@@ -209,7 +209,7 @@ def test_ios_fluxonium_golden(fluxonium):
 
 
 def test_ios_no_inductors_is_identity():
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=[ModeKind.JUNCTION, ModeKind.JUNCTION],
         C_inv=np.array([[2.0, 0.3], [0.3, 1.5]]),
         M0=np.array([[1.0, 0.1], [0.1, 1.2]]),
@@ -223,7 +223,7 @@ def test_ios_random_invariants():
     rng = np.random.default_rng(43)
     for _ in range(5):
         kinds = [ModeKind.JUNCTION, ModeKind.INDUCTOR, ModeKind.INDUCTOR, ModeKind.INDUCTOR]
-        H = CircuitHamiltonian.create(
+        H = CircuitHamiltonian(
             kinds=kinds, C_inv=random_spd(rng, 4), M0=random_spd(rng, 4), E_J=[2.0]
         )
         result = inductor_symplectic(H)
@@ -241,7 +241,7 @@ def test_ios_random_invariants():
 def test_ios_requires_pd_inductor_block():
     M0 = np.zeros((2, 2))
     M0[0, 0] = 1.0  # inductor block (mode 1) is zero
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=[ModeKind.INDUCTOR, ModeKind.INDUCTOR],
         C_inv=np.eye(2),
         M0=M0,
@@ -269,7 +269,7 @@ def test_fs_fluxonium_golden(fluxonium, fluxonium_lambda_reference):
 
 
 def test_fs_identity_matrices():
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=[ModeKind.INDUCTOR] * 2, C_inv=np.eye(2), M0=np.eye(2)
     )
     result = full_symplectic(H)
@@ -282,7 +282,7 @@ def test_fs_identity_matrices():
 
 def test_fs_random_quadratic_decoupling_and_spectrum():
     rng = np.random.default_rng(47)
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=[ModeKind.INDUCTOR] * 2, C_inv=random_spd(rng, 2), M0=random_spd(rng, 2)
     )
     result = full_symplectic(H)
@@ -292,7 +292,7 @@ def test_fs_random_quadratic_decoupling_and_spectrum():
 
 
 def test_fs_error_mentions_shunting():
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=[ModeKind.JUNCTION, ModeKind.INDUCTOR],
         C_inv=np.eye(2),
         M0=np.diag([0.0, 1.0]),  # unshunted junction: M0 singular

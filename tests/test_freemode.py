@@ -67,7 +67,7 @@ def test_two_exact_zero_rows():
     rng = np.random.default_rng(2)
     M0 = np.zeros((4, 4))
     M0[2:, 2:] = random_spd(rng, 2)
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=[ModeKind.INDUCTOR] * 4, C_inv=random_spd(rng, 4), M0=M0
     )
     report = count_free_modes(H)
@@ -92,7 +92,7 @@ def test_count_matches_rank_oracle_on_random_instances():
 def test_ambiguous_singular_value_raises():
     # a singular value right at the threshold cannot be classified
     M0 = np.diag([1.0, 3e-8, 0.0])
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=[ModeKind.INDUCTOR] * 3, C_inv=np.eye(3), M0=M0
     )
     with pytest.raises(ThresholdAmbiguityError):
@@ -101,7 +101,7 @@ def test_ambiguous_singular_value_raises():
 
 def test_external_flux_with_fewer_columns_than_modes():
     # one external-flux column for two modes (1 = m_x < n)
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=[ModeKind.JUNCTION, ModeKind.INDUCTOR],
         C_inv=[[2.0, 0.3], [0.3, 1.5]],
         M0=[[0.4, 0.1], [0.1, 0.8]],
@@ -115,7 +115,7 @@ def test_external_flux_with_fewer_columns_than_modes():
 
 
 def test_every_mode_free_raises():
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=[ModeKind.INDUCTOR] * 2, C_inv=[[2.0, 0.3], [0.3, 1.5]], M0=np.zeros((2, 2))
     )
     assert count_free_modes(H).F == 2
@@ -149,7 +149,7 @@ def hidden_free_mode_circuits(draw):
     M0[np.ix_(kept, kept)] = random_spd(rng, len(kept))
     N = rng.standard_normal((n, m_x))
     N[L[:F]] = 0.0
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=[ModeKind.JUNCTION if i in J else ModeKind.INDUCTOR for i in range(n)],
         C_inv=random_spd(rng, n),
         M0=M0,
@@ -216,7 +216,7 @@ def test_rotated_free_direction_exposed():
     u = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
     P = np.eye(3) - np.outer(u, u)
     M0 = P @ np.diag([1.0, 2.0, 3.0]) @ P  # kernel exactly along u
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=[ModeKind.INDUCTOR] * 3, C_inv=random_spd(rng, 3), M0=M0
     )
     report = count_free_modes(H)
@@ -238,7 +238,7 @@ def test_exposed_kinds_follow_permutation():
     P = np.eye(2) - np.outer(u, u)
     M0 = np.zeros((3, 3))
     M0[1:, 1:] = P @ np.diag([2.0, 3.0]) @ P
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=[ModeKind.JUNCTION, ModeKind.INDUCTOR, ModeKind.INDUCTOR],
         C_inv=random_spd(rng, 3),
         M0=M0,
@@ -349,7 +349,7 @@ def test_block_elimination_with_decoupled_capacitance():
     C = np.diag([4.0, 2.0, 3.0])
     M0 = np.zeros((3, 3))
     M0[1:, 1:] = np.diag([1.0, 2.0])
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=[ModeKind.INDUCTOR] * 3, C_inv=np.linalg.inv(C), M0=M0
     )
     T = block_elim_transform(H, 1)
@@ -415,7 +415,7 @@ def test_reduced_spectrum_matches_regularized_full_system():
     )
     M0 = np.zeros((3, 3))
     M0[1:, 1:] = np.array([[2.0, 0.3], [0.3, 1.5]])
-    H = CircuitHamiltonian.create(kinds=[ModeKind.INDUCTOR] * 3, C_inv=C_inv, M0=M0)
+    H = CircuitHamiltonian(kinds=[ModeKind.INDUCTOR] * 3, C_inv=C_inv, M0=M0)
 
     H_red, T, report = remove_free_modes(H)
     assert report.F == 1
@@ -427,7 +427,7 @@ def test_reduced_spectrum_matches_regularized_full_system():
 
     M0_reg = M0.copy()
     M0_reg[0, 0] = delta
-    H_reg = CircuitHamiltonian.create(
+    H_reg = CircuitHamiltonian(
         kinds=[ModeKind.INDUCTOR] * 3, C_inv=C_inv, M0=M0_reg
     )
     # 14 ladder states retained on the regularized free mode; the top

@@ -20,7 +20,7 @@ def test_validate_accepts_cooper_pair_box(cpb):
 def test_validate_accepts_uncorrected_example_matrices():
     # the three-mode example exactly as printed, including the resonator
     # flux value the bundled data file corrects
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=["inductor", "junction", "inductor"],
         C_inv=[[15.2, -2.06, 3.78], [-2.06, 3.57, -0.0312], [3.78, -0.0312, 4.79]],
         M0=np.diag([0.0, 0.0, 0.0204]),
@@ -33,7 +33,7 @@ def test_validate_accepts_uncorrected_example_matrices():
 
 def test_negative_definite_c_inv_flagged():
     C = np.diag([1.0, -1.0, 2.0])
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=[ModeKind.INDUCTOR] * 3, C_inv=C, M0=np.eye(3)
     )
     report = validate(H)
@@ -51,7 +51,7 @@ def test_gram_constructed_matrices_pass():
         C = random_spd(rng, n)
         G = rng.standard_normal((rng.integers(1, n + 1), n))
         M = G.T @ G  # PSD, possibly singular
-        H = CircuitHamiltonian.create(kinds=[ModeKind.INDUCTOR] * n, C_inv=C, M0=M)
+        H = CircuitHamiltonian(kinds=[ModeKind.INDUCTOR] * n, C_inv=C, M0=M)
         assert validate(H).ok
 
 
@@ -63,26 +63,34 @@ def test_validate_is_pure(fluxonium):
 
 def test_small_asymmetry_is_symmetrized():
     C = np.array([[2.0, 0.5], [0.5 + 1e-12, 2.0]])
-    H = CircuitHamiltonian.create(kinds=[ModeKind.INDUCTOR] * 2, C_inv=C, M0=np.eye(2))
+    H = CircuitHamiltonian(kinds=[ModeKind.INDUCTOR] * 2, C_inv=C, M0=np.eye(2))
     assert H.C_inv[0, 1] == H.C_inv[1, 0]
 
 
 def test_large_asymmetry_rejected():
     C = np.array([[2.0, 0.5], [0.6, 2.0]])
     with pytest.raises(InvalidHamiltonianError, match="not symmetric"):
-        CircuitHamiltonian.create(kinds=[ModeKind.INDUCTOR] * 2, C_inv=C, M0=np.eye(2))
+        CircuitHamiltonian(kinds=[ModeKind.INDUCTOR] * 2, C_inv=C, M0=np.eye(2))
 
 
-def test_create_builds_selector_rows(fluxonium):
+def test_default_j_args_are_selector_rows(fluxonium):
     selectors = np.zeros((2, 5))
     selectors[0, 0] = 1.0
     selectors[1, 1] = 1.0
     np.testing.assert_array_equal(fluxonium.J_args, selectors)
 
 
+def test_string_kinds_become_mode_kinds():
+    H = CircuitHamiltonian(
+        kinds=["junction", "inductor"], C_inv=np.eye(2), M0=np.eye(2), E_J=[1.0]
+    )
+    assert H.kinds == (ModeKind.JUNCTION, ModeKind.INDUCTOR)
+    assert H.junction_indices == (0,)
+
+
 def test_junction_count_mismatch_rejected():
     with pytest.raises(InvalidHamiltonianError, match="junction"):
-        CircuitHamiltonian.create(
+        CircuitHamiltonian(
             kinds=[ModeKind.JUNCTION, ModeKind.INDUCTOR],
             C_inv=np.eye(2),
             M0=np.eye(2),
@@ -92,7 +100,7 @@ def test_junction_count_mismatch_rejected():
 
 def test_bad_sign_flag_rejected():
     with pytest.raises(InvalidHamiltonianError, match="sign"):
-        CircuitHamiltonian.create(
+        CircuitHamiltonian(
             kinds=[ModeKind.JUNCTION],
             C_inv=np.eye(1),
             M0=np.zeros((1, 1)),
@@ -101,11 +109,42 @@ def test_bad_sign_flag_rejected():
         )
 
 
-def test_dimension_mismatch_rejected():
-    with pytest.raises(InvalidHamiltonianError):
-        CircuitHamiltonian.create(
-            kinds=[ModeKind.INDUCTOR] * 2, C_inv=np.eye(3), M0=np.eye(2)
-        )
+def test_bad_sign_flag_rejected_on_replace():
+    one = CircuitHamiltonian(
+        kinds=[ModeKind.JUNCTION], C_inv=np.eye(1), M0=np.zeros((1, 1)), E_J=[1.0]
+    )
+    with pytest.raises(InvalidHamiltonianError, match="sign"):
+        one.replace(E_sign=[2.5])
+
+
+THREE = dict(kinds=[ModeKind.INDUCTOR] * 3, C_inv=np.eye(3), M0=np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        (dict(kinds=[ModeKind.INDUCTOR] * 2, C_inv=np.eye(3), M0=np.eye(2)),
+         r"C_inv has shape \(3, 3\), expected \(2, 2\)"),
+        (dict(kinds=[ModeKind.INDUCTOR] * 2, C_inv=np.ones((2, 3)), M0=np.eye(2)),
+         r"C_inv has shape \(2, 3\), expected \(2, 2\)"),
+        # transposed (m_x, n) and (m_v, n) couplings, which reshaping would
+        # rebuild as a different circuit
+        (dict(THREE, N=np.arange(6.0).reshape(2, 3), Phi_x=[0.1, 0.2]),
+         r"N has shape \(2, 3\), expected \(3, any\)"),
+        (dict(THREE, C_V=np.arange(6.0).reshape(2, 3), V=[0.1, 0.2]),
+         r"C_V has shape \(2, 3\), expected \(3, any\)"),
+        (dict(THREE, N=np.arange(3.0)), r"N has shape \(3,\), expected \(3, any\)"),
+        (dict(THREE, N=np.ones((3, 2)), Phi_x=[0.1]), r"Phi_x has shape \(1,\), expected \(2,\)"),
+        (dict(THREE, kinds=[ModeKind.JUNCTION] + THREE["kinds"][1:], E_J=[1.0],
+              J_args=[[1.0], [0.0], [0.0]]),
+         r"J_args has shape \(3, 1\), expected \(1, 3\)"),
+    ],
+    ids=["wrong-size-C_inv", "non-square-C_inv", "transposed-N", "transposed-C_V", "flat-N",
+         "short-Phi_x", "transposed-J_args"],
+)
+def test_dimension_mismatch_rejected(fields, message):
+    with pytest.raises(InvalidHamiltonianError, match=message):
+        CircuitHamiltonian(**fields)
 
 
 def test_arrays_are_immutable(cpb):

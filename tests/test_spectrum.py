@@ -30,7 +30,7 @@ TABLE_ENERGIES = [-0.999, -0.00981, 0.979, 1.88, 1.97, 2.87, 2.96, 3.32, 3.85, 3
 
 
 def coupled_pair(c01=0.4, m01=0.2):
-    return CircuitHamiltonian.create(
+    return CircuitHamiltonian(
         kinds=[ModeKind.INDUCTOR] * 2,
         C_inv=np.array([[2.0, c01], [c01, 3.0]]),
         M0=np.array([[1.0, m01], [m01, 1.5]]),
@@ -43,7 +43,7 @@ def coupled_pair(c01=0.4, m01=0.2):
 
 
 def test_harmonic_mode_energies():
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=[ModeKind.INDUCTOR], C_inv=np.array([[1.0]]), M0=np.array([[1.0]])
     )
     loc = build_local_mode(H, 0, primitive_dim=40, keep=10)
@@ -71,7 +71,7 @@ def test_flux_offset_shifts_oscillator():
     # 1/2 c n^2 + 1/2 m phi^2 + f phi is a displaced oscillator:
     # energies (k + 1/2) w - f^2 / (2 m)
     c, m, f = 2.0, 3.0, 0.7
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=[ModeKind.INDUCTOR], C_inv=[[c]], M0=[[m]],
         N=[[1.0]], Phi_x=[f],
     )
@@ -86,8 +86,8 @@ def test_junction_sign_flag_flips_potential():
     # same spectrum); with an inductive shunt the flip turns the single well
     # at phi = 0 into the sweet-spot double well and raises the ground state.
     base = dict(kinds=[ModeKind.JUNCTION], C_inv=[[2.0]], M0=[[0.5]], E_J=[3.0])
-    plus = CircuitHamiltonian.create(E_sign=[1.0], **base)
-    minus = CircuitHamiltonian.create(E_sign=[-1.0], **base)
+    plus = CircuitHamiltonian(E_sign=[1.0], **base)
+    minus = CircuitHamiltonian(E_sign=[-1.0], **base)
     e_plus = build_local_mode(plus, 0, primitive_dim=150, keep=3).energies
     e_minus = build_local_mode(minus, 0, primitive_dim=150, keep=3).energies
     assert e_plus[0] < e_minus[0]
@@ -95,14 +95,14 @@ def test_junction_sign_flag_flips_potential():
 
     bare = dict(kinds=[ModeKind.JUNCTION], C_inv=[[2.0]], M0=[[0.0]], E_J=[3.0])
     e_bare = [
-        build_local_mode(CircuitHamiltonian.create(E_sign=[s], **bare), 0, keep=3).energies
+        build_local_mode(CircuitHamiltonian(E_sign=[s], **bare), 0, keep=3).energies
         for s in (1.0, -1.0)
     ]
     np.testing.assert_allclose(e_bare[0], e_bare[1], atol=1e-10)
 
 
 def test_charge_basis_rejects_non_integer_coefficient():
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=[ModeKind.JUNCTION], C_inv=np.array([[2.0]]), M0=np.zeros((1, 1)),
         E_J=[1.0],
     )
@@ -112,7 +112,7 @@ def test_charge_basis_rejects_non_integer_coefficient():
 
 
 def test_charge_basis_rejects_linear_flux_term():
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=[ModeKind.JUNCTION], C_inv=np.array([[2.0]]), M0=np.zeros((1, 1)),
         E_J=[1.0], N=[[1.0]], Phi_x=[0.3],
     )
@@ -121,7 +121,7 @@ def test_charge_basis_rejects_linear_flux_term():
 
 
 def test_phase_factor_unitarity():
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=[ModeKind.JUNCTION], C_inv=np.array([[3.0]]), M0=np.array([[1.5]]),
         E_J=[2.0],
     )
@@ -140,7 +140,7 @@ def test_phase_factor_unitarity():
 
 
 def test_phase_factor_needs_exact_key():
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=[ModeKind.JUNCTION], C_inv=np.array([[3.0]]), M0=np.array([[1.5]]),
         E_J=[2.0],
     )
@@ -154,10 +154,10 @@ def test_commutator_on_primitive_basis():
     # On the primitive ladder [phi, n] = i except at the top corner, where it
     # is i (1 - dim), so the defect is rank one with singular value dim.
     dim = 30
-    oscillator = CircuitHamiltonian.create(
+    oscillator = CircuitHamiltonian(
         kinds=[ModeKind.INDUCTOR], C_inv=np.array([[2.0]]), M0=np.array([[0.5]])
     )
-    with_cosine = CircuitHamiltonian.create(
+    with_cosine = CircuitHamiltonian(
         kinds=[ModeKind.JUNCTION], C_inv=np.array([[3.0]]), M0=np.array([[1.5]]),
         E_J=[2.0],
     )
@@ -180,7 +180,7 @@ def test_truncated_mode_matches_rebuild():
 
 def junction_mode(c, m, E_J, sign, flux_lin=0.0, V=0.0):
     """One junction mode with a flux offset through N = 1 and a drive through C_V = 1."""
-    return CircuitHamiltonian.create(
+    return CircuitHamiltonian(
         kinds=[ModeKind.JUNCTION], C_inv=[[c]], M0=[[m]], E_J=[E_J], E_sign=[sign],
         N=[[1.0]], Phi_x=[flux_lin], C_V=[[1.0]], V=[V],
     )
@@ -233,7 +233,7 @@ def test_charge_mode_matches_mathieu(c, E_J, sign):
 
 
 def test_zero_couplings_gives_separable_sums():
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=[ModeKind.INDUCTOR] * 3,
         C_inv=np.diag([1.0, 2.0, 3.0]),
         M0=np.diag([1.0, 0.5, 2.0]),
@@ -275,7 +275,7 @@ def charge_harmonic_pair():
     The charge mode's phase factor is not symmetric, so the coupled cosine
     takes the product-plus-conjugate path and the operator is complex.
     """
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=[ModeKind.JUNCTION, ModeKind.INDUCTOR],
         C_inv=np.diag([4.0, 2.0]),
         M0=np.diag([0.0, 1.5]),
@@ -373,7 +373,7 @@ def test_flux_coupling_to_charge_mode_rejected(cpb):
 
 
 def test_separable_three_mode_analytic():
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=[ModeKind.INDUCTOR] * 3,
         C_inv=np.diag([2.0, 1.0, 4.0]),
         M0=np.diag([0.5, 2.0, 1.0]),
@@ -388,7 +388,7 @@ def test_separable_three_mode_analytic():
 
 def test_iterative_path_matches_analytic_sums():
     # dimension above the dense limit forces ARPACK
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=[ModeKind.INDUCTOR] * 5,
         C_inv=np.diag([1.0, 2.0, 3.0, 4.0, 5.0]),
         M0=np.eye(5),
@@ -465,7 +465,7 @@ def test_dense_branch_matches_full_eigh(fluxonium, cpb, case, dtype, k_from_dim)
 
 def test_dense_branch_returns_both_degenerate_levels():
     # two identical oscillators: levels 1, 2, 2, 3, 3, 3, ... (units of the frequency)
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=[ModeKind.INDUCTOR] * 2, C_inv=np.eye(2), M0=np.eye(2)
     )
     op = assembled(H, [4, 4])
@@ -511,7 +511,7 @@ def test_arpack_misses_exact_degenerate_copy():
     # Known limitation: single-vector Lanczos holds one vector of each
     # exactly degenerate eigenspace, so past DENSE_LIMIT two identical
     # oscillators give 1, 2, 3 instead of 1, 2, 2, every residual passing.
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=[ModeKind.INDUCTOR] * 2, C_inv=np.eye(2), M0=np.eye(2)
     )
     op = assembled(H, [65, 65])
@@ -552,7 +552,7 @@ def test_start_in_one_parity_sector_still_finds_all_levels():
     # Uncoupled oscillators of frequencies 1 and 1.3: levels 1.15, 2.15,
     # 2.45, 3.15.  A start on even n0 only holds no weight on the 2.15
     # level; without the random admixture ARPACK returns 1.15, 2.45, 3.15.
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=[ModeKind.INDUCTOR] * 2, C_inv=np.diag([1.0, 1.69]), M0=np.eye(2)
     )
     op = assembled(H, [70, 70])
@@ -602,7 +602,7 @@ def test_warm_started_sweep_matches_cold_solves(fluxonium):
 
 
 def test_product_state_projector():
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=[ModeKind.INDUCTOR] * 2, C_inv=np.diag([1.0, 2.0]), M0=np.diag([1.0, 2.0])
     )
     res = scmodes.solve(H, [5, 5], k=1)
@@ -639,7 +639,7 @@ def test_fluxonium_ground_mode_populations_coincide(fluxonium):
 
 
 def test_adaptive_trivial_product_system():
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=[ModeKind.INDUCTOR] * 3,
         C_inv=np.diag([1.0, 2.0, 3.0]),
         M0=np.diag([1.0, 1.0, 1.0]),
@@ -680,7 +680,7 @@ def test_adaptive_without_fixed_point_raises():
 
 
 def test_converge_separable_rows_identical():
-    H = CircuitHamiltonian.create(
+    H = CircuitHamiltonian(
         kinds=[ModeKind.INDUCTOR] * 2, C_inv=np.diag([1.0, 2.0]), M0=np.diag([1.0, 2.0])
     )
     rows = spectrum_vs_cutoff(H, k=3, d_values=[3, 4, 6])

@@ -3,17 +3,17 @@
 A Hamiltonian file is a JSON object whose matrices are row-major nested
 arrays, for n modes of which n_J are junctions:
 
-    n, n_J      optional; checked against mode_kinds and E_J when given
+    n, n_J      optional; must equal the counts below exactly (no rounding)
     mode_kinds  n strings, "junction" or "inductor"
     C_inv, M0   (n, n)
     N, C_V      (n, m_x) and (n, m_v)
-    E_J         n_J objects {value, sign}, sign +1 (the default) or -1
+    E_J         n_J objects {value >= 0, sign}, sign +1 (the default) or -1
     J_args      (n_J, n), written only when it differs from the rows that
                 select the junction modes
     Phi_x, V    (m_x,) and (m_v,)
 
-Every shape is checked as written; nothing is reshaped.  A field after
-M0 that is absent or empty takes the CircuitHamiltonian default: no
+Shapes are checked as written (nothing is reshaped) and entries must be
+finite.  A field after M0 that is absent or empty takes the default: no
 external fluxes or voltages, zero Phi_x and V, and selector J_args.
 
 CSV output uses a header row, 12 significant digits, comma separators,
@@ -52,12 +52,12 @@ def load_hamiltonian(path: str) -> CircuitHamiltonian:
 def hamiltonian_from_dict(data: dict, origin: str = "<dict>") -> CircuitHamiltonian:
     try:
         n = len(data["mode_kinds"])
-        if "n" in data and int(data["n"]) != n:
-            raise ParseError(f"{origin}: n = {data['n']} but {n} mode kinds listed")
+        if "n" in data and data["n"] != n:
+            raise ValueError(f"n = {data['n']} but {n} mode kinds listed")
         ej_entries = data.get("E_J", [])
-        if "n_J" in data and int(data["n_J"]) != len(ej_entries):
-            raise ParseError(f"{origin}: n_J = {data['n_J']} but {len(ej_entries)} junction energies listed")
-        H = CircuitHamiltonian(
+        if "n_J" in data and data["n_J"] != len(ej_entries):
+            raise ValueError(f"n_J = {data['n_J']} but {len(ej_entries)} junction energies listed")
+        return CircuitHamiltonian(
             kinds=data["mode_kinds"],
             C_inv=data["C_inv"],
             M0=data["M0"],
@@ -72,10 +72,7 @@ def hamiltonian_from_dict(data: dict, origin: str = "<dict>") -> CircuitHamilton
     except KeyError as exc:
         raise ParseError(f"{origin}: missing required field {exc}") from exc
     except (TypeError, ValueError) as exc:
-        if isinstance(exc, ParseError):
-            raise
         raise ParseError(f"{origin}: {exc}") from exc
-    return H
 
 
 def hamiltonian_to_dict(H: CircuitHamiltonian) -> dict:

@@ -43,7 +43,7 @@ def _given(value, default):
 
 
 def _shaped(name: str, value, shape: tuple) -> np.ndarray:
-    """``value`` as a new float array, whose shape as given must match ``shape``.
+    """``value`` as a new finite float array, whose shape as given must match ``shape``.
 
     A None entry of ``shape`` matches any length.  Nothing is reshaped, so
     a transposed or flattened matrix is rejected rather than rebuilt.
@@ -53,6 +53,8 @@ def _shaped(name: str, value, shape: tuple) -> np.ndarray:
         expected = ", ".join("any" if s is None else str(s) for s in shape)
         expected += "," if len(shape) == 1 else ""
         raise InvalidHamiltonianError(f"{name} has shape {a.shape}, expected ({expected})")
+    if not np.isfinite(a).all():
+        raise InvalidHamiltonianError(f"{name} has non-finite entries")
     return a
 
 
@@ -85,9 +87,9 @@ class CircuitHamiltonian:
     ``M0`` that is absent (None) or empty takes its default: no external
     fluxes or voltages, no junctions, sign +1 for every junction, and
     ``J_args`` rows that select the junction modes in positional order.
-    Every array must have its documented shape as given; nothing is
-    reshaped.  C_inv and M0 must be symmetric up to SYMMETRY_RTOL, and the
-    rounding asymmetry is averaged away exactly.
+    Every array must have its documented shape as given (nothing is
+    reshaped) and finite entries, and E_J >= 0 (E_sign holds the sign).  C_inv
+    and M0 must be symmetric to SYMMETRY_RTOL, and are symmetrized exactly.
     """
 
     kinds: tuple[ModeKind, ...]
@@ -125,6 +127,8 @@ class CircuitHamiltonian:
             "Phi_x": _shaped("Phi_x", _given(self.Phi_x, np.zeros(N.shape[1])), (N.shape[1],)),
             "V": _shaped("V", _given(self.V, np.zeros(C_V.shape[1])), (C_V.shape[1],)),
         }
+        if np.any(arrays["E_J"] < 0.0):
+            raise InvalidHamiltonianError("E_J has negative entries; a junction's sign is E_sign")
         arrays["C_inv"] = _symmetrized(arrays["C_inv"], "C_inv")
         arrays["M0"] = _symmetrized(arrays["M0"], "M0")
         object.__setattr__(self, "kinds", kinds)

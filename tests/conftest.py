@@ -20,7 +20,7 @@ import scipy.special
 
 from scmodes import canonical, io, spectrum
 from scmodes.canonical import CanonicalTransform
-from scmodes.decouple import SAD_ANGLE_TOL, jacobi_pair_angle
+from scmodes.decouple import jacobi_pair_angle
 from scmodes.model import CircuitHamiltonian, ModeKind
 from scmodes.symplectic import block_williamson
 
@@ -191,16 +191,14 @@ def sad_pairwise(M0, C_inv, W, pairs):
     """SAD rotations applied one pair at a time, in the order given.
 
     For each (p, q) the optimal joint Givens angle is computed from the
-    matrices as they stand, angles below ``SAD_ANGLE_TOL`` are skipped, and
-    the rows and columns of M0 and C_inv and the rows of W are rotated.
+    matrices as they stand, and the rows and columns of M0 and C_inv and the
+    rows of W are rotated by it.
     Returns rotated copies (M0, C_inv, W); the inputs are left alone.
     """
     mats = [M0.copy(), C_inv.copy()]
     W = W.copy()
     for p, q in pairs:
         theta = jacobi_pair_angle(mats, p, q)
-        if abs(theta) < SAD_ANGLE_TOL:
-            continue
         c, s = np.cos(theta), np.sin(theta)
         for m in mats:
             rows_p = c * m[p, :] + s * m[q, :]

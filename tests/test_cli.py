@@ -70,6 +70,25 @@ def test_inspect_invalid_hamiltonian(tmp_path, capsys):
     assert "positive" in err
 
 
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        (dict(E_J=[{"value": float("inf")}, {"value": 1.0}]), "E_J has non-finite entries"),
+        (dict(C_inv=[[float("nan")] * 5] * 5), "C_inv has non-finite entries"),
+        (dict(n=5.7), "n = 5.7 but 5 mode kinds listed"),
+        (dict(n_J=2.5), "n_J = 2.5 but 2 junction energies listed"),
+        (dict(E_J=[{"value": -3.9, "sign": 1}, {"value": 3.9}]), "E_J has negative entries"),
+    ],
+    ids=["infinite-E_J", "nan-C_inv", "fractional-n", "fractional-n_J", "negative-E_J"],
+)
+def test_inspect_rejects_bad_numbers(tmp_path, capsys, fluxonium, change, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**io.hamiltonian_to_dict(fluxonium), **change}))
+    code, _, err = run(capsys, "inspect", "--input", str(bad))
+    assert code == 1
+    assert f"bad.json: {message}" in err
+
+
 # ---------------------------------------------------------------------------
 # remove-free
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import scmodes
 from scmodes.canonical import offdiag_sq
 from scmodes.decouple import (
+    SAD_MAX_SWEEPS,
     DecoupleMethod,
     _round_robin,
     full_symplectic,
@@ -166,19 +168,19 @@ def test_sad_steps_match_pairwise_oracle():
     np.testing.assert_allclose(result.H_out.C_inv, C_inv, rtol=0.0, atol=1e-12)
 
 
-def test_sad_large_random_circuit_invariants():
-    rng = np.random.default_rng(67)
-    n, n_J = 40, 5
-    kinds = mixed_kinds(rng, n - n_J, n_J)
-    H = CircuitHamiltonian(
-        kinds=kinds,
+def mixed_circuit(rng, n, n_J):
+    """n modes, n_J of them junctions in random places, with SPD C_inv and M0."""
+    return CircuitHamiltonian(
+        kinds=mixed_kinds(rng, n - n_J, n_J),
         C_inv=5.0 * random_spd(rng, n, 30.0),
         M0=random_spd(rng, n, 30.0),
         E_J=[1.0] * n_J,
     )
-    trace = []
-    result = simultaneous_approx_diag(H, max_sweeps=15, on_rotation=trace.append)
-    W, out = result.T.W, result.H_out
+
+
+def check_sad_invariants(H, result, trace):
+    """W orthogonal, junction rows untouched, frequencies kept, objective never rising."""
+    W, out, n = result.T.W, result.H_out, H.n
     np.testing.assert_allclose(W @ W.T, np.eye(n), rtol=0.0, atol=1e-12)
     J = list(H.junction_indices)
     np.testing.assert_array_equal(out.J_args, H.J_args)
@@ -190,6 +192,43 @@ def test_sad_large_random_circuit_invariants():
     np.testing.assert_allclose(frequencies(out), frequencies(H), rtol=1e-10)
     values = [scmodes.offdiag_norm(H)] + trace
     assert np.all(np.diff(values) <= 1e-12 * values[0])
+
+
+def test_sad_large_random_circuit_invariants():
+    rng = np.random.default_rng(67)
+    H = mixed_circuit(rng, 40, 5)
+    trace = []
+    result = simultaneous_approx_diag(H, max_sweeps=15, on_rotation=trace.append)
+    check_sad_invariants(H, result, trace)
+
+
+def test_sad_stops_when_the_objective_stalls():
+    """The angle rule this replaced ran all 100 sweeps on this circuit; the
+    stall rule stops early, within 1e-7 of the 100-sweep objective."""
+    H = mixed_circuit(np.random.default_rng(8), 12, 3)
+    result = simultaneous_approx_diag(H, max_sweeps=100)
+    assert result.iterations < 100
+    pairs = [(a, b) for p, q in _round_robin(H.inductor_indices) for a, b in zip(p, q)]
+    M0, C_inv, _ = sad_pairwise(H.M0, H.C_inv, np.eye(H.n), pairs * 100)
+    full = offdiag_sq((M0, C_inv))
+    assert abs(result.offdiag_after - full) <= 1e-7 * full
+
+
+@st.composite
+def mixed_circuits(draw):
+    n = draw(st.integers(1, 16))
+    n_J = draw(st.integers(0, min(3, n)))
+    return mixed_circuit(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, n_J)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(mixed_circuits())
+def test_sad_invariants_and_stop_rule(H):
+    trace = []
+    result = simultaneous_approx_diag(H, on_rotation=trace.append)
+    check_sad_invariants(H, result, trace)
+    if result.iterations < SAD_MAX_SWEEPS:
+        assert simultaneous_approx_diag(result.H_out).iterations <= 1
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,37 @@ def test_dimension_mismatch_rejected(fields, message):
         CircuitHamiltonian(**fields)
 
 
+EVERY_FIELD = dict(
+    kinds=[ModeKind.JUNCTION, ModeKind.INDUCTOR],
+    C_inv=[[2.0, 0.1], [0.1, 1.0]],
+    M0=[[0.5, 0.0], [0.0, 1.0]],
+    N=[[0.0], [0.2]],
+    C_V=[[0.1], [0.0]],
+    E_J=[1.0],
+    E_sign=[-1.0],
+    J_args=[[1.0, 0.3]],
+    Phi_x=[0.4],
+    V=[0.01],
+)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("field", list(EVERY_FIELD)[1:])
+def test_non_finite_entry_rejected(field, bad):
+    CircuitHamiltonian(**EVERY_FIELD)  # the base circuit is valid
+    value = np.array(EVERY_FIELD[field], dtype=float)
+    value.flat[-1] = bad
+    with pytest.raises(InvalidHamiltonianError, match=f"{field} has non-finite entries"):
+        CircuitHamiltonian(**dict(EVERY_FIELD, **{field: value}))
+
+
+def test_negative_junction_energy_rejected():
+    with pytest.raises(InvalidHamiltonianError, match="E_J has negative entries"):
+        CircuitHamiltonian(**dict(EVERY_FIELD, E_J=[-1.0], E_sign=[1.0]))
+    with pytest.raises(InvalidHamiltonianError, match="E_J has negative entries"):
+        CircuitHamiltonian(**EVERY_FIELD).replace(E_J=[-1.0])
+
+
 def test_arrays_are_immutable(cpb):
     with pytest.raises(ValueError):
         cpb.C_inv[0, 0] = 99.0

@@ -34,7 +34,6 @@ from .model import (
     CircuitHamiltonian,
     InvalidHamiltonianError,
     ModeKind,
-    ValidationReport,
     require_valid,
     validate,
 )

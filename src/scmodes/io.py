@@ -3,7 +3,7 @@
 A Hamiltonian file is a JSON object whose matrices are row-major nested
 arrays, for n modes of which n_J are junctions:
 
-    n, n_J      optional; must equal the counts below exactly (no rounding)
+    n, n_J      optional; JSON integers equal to the counts below
     mode_kinds  n strings, "junction" or "inductor"
     C_inv, M0   (n, n)
     N, C_V      (n, m_x) and (n, m_v)
@@ -12,9 +12,11 @@ arrays, for n modes of which n_J are junctions:
                 select the junction modes
     Phi_x, V    (m_x,) and (m_v,)
 
-Shapes are checked as written (nothing is reshaped) and entries must be
-finite.  A field after M0 that is absent or empty takes the default: no
-external fluxes or voltages, zero Phi_x and V, and selector J_args.
+Shapes are checked as written (nothing is reshaped) and entries, junction
+values and signs included, must be finite JSON numbers: a string, true,
+false or null is rejected, not converted.  A field after M0 that is
+absent or empty takes the default: no external fluxes or voltages, zero
+Phi_x and V, and selector J_args.
 
 CSV output uses a header row, 12 significant digits, comma separators,
 and LF line endings, so golden outputs are bit-stable across platforms.
@@ -51,20 +53,24 @@ def load_hamiltonian(path: str) -> CircuitHamiltonian:
 
 def hamiltonian_from_dict(data: dict, origin: str = "<dict>") -> CircuitHamiltonian:
     try:
-        n = len(data["mode_kinds"])
-        if "n" in data and data["n"] != n:
-            raise ValueError(f"n = {data['n']} but {n} mode kinds listed")
         ej_entries = data.get("E_J", [])
-        if "n_J" in data and data["n_J"] != len(ej_entries):
-            raise ValueError(f"n_J = {data['n_J']} but {len(ej_entries)} junction energies listed")
+        for key, count, listed in (
+            ("n", len(data["mode_kinds"]), "mode kinds"),
+            ("n_J", len(ej_entries), "junction energies"),
+        ):
+            given = data.get(key, count)
+            if given != count:
+                raise ValueError(f"{key} = {given!r} but {count} {listed} listed")
+            if type(given) is not int:  # JSON integers only: not 1.0, not true
+                raise ValueError(f"{key} = {given!r} is not an integer")
         return CircuitHamiltonian(
             kinds=data["mode_kinds"],
             C_inv=data["C_inv"],
             M0=data["M0"],
             N=data.get("N"),
             C_V=data.get("C_V"),
-            E_J=[float(e["value"]) for e in ej_entries],
-            E_sign=[float(e.get("sign", 1)) for e in ej_entries],
+            E_J=[e["value"] for e in ej_entries],
+            E_sign=[e.get("sign", 1) for e in ej_entries],
             J_args=data.get("J_args"),
             Phi_x=data.get("Phi_x"),
             V=data.get("V"),

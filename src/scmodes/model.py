@@ -15,6 +15,7 @@ Planck's constant and the flux quantum never appear at runtime.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -42,12 +43,26 @@ def _given(value, default):
     return default if value is None or np.size(value) == 0 else value
 
 
+def _real_numbers(value) -> bool:
+    """Whether every entry of a nested list, tuple or array is a real number other than a bool."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "fiu" or _real_numbers(value.tolist())
+    if isinstance(value, (list, tuple)):
+        return set(map(type, value)) <= {float, int} or all(map(_real_numbers, value))
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _shaped(name: str, value, shape: tuple) -> np.ndarray:
     """``value`` as a new finite float array, whose shape as given must match ``shape``.
 
     A None entry of ``shape`` matches any length.  Nothing is reshaped, so
     a transposed or flattened matrix is rejected rather than rebuilt.
+    Strings, booleans and None are rejected rather than converted, entry
+    by entry, since a list mixing them with numbers still converts to a
+    float array; a float or integer array needs no such walk.
     """
+    if not _real_numbers(value):
+        raise InvalidHamiltonianError(f"{name} has non-numeric entries")
     a = np.array(value, dtype=float)
     if a.ndim != len(shape) or any(s not in (None, d) for s, d in zip(shape, a.shape)):
         expected = ", ".join("any" if s is None else str(s) for s in shape)
@@ -88,7 +103,8 @@ class CircuitHamiltonian:
     fluxes or voltages, no junctions, sign +1 for every junction, and
     ``J_args`` rows that select the junction modes in positional order.
     Every array must have its documented shape as given (nothing is
-    reshaped) and finite entries, and E_J >= 0 (E_sign holds the sign).  C_inv
+    reshaped) and finite real-number entries (no strings, booleans or
+    None), and E_J >= 0 (E_sign holds the sign).  C_inv
     and M0 must be symmetric to SYMMETRY_RTOL, and are symmetrized exactly.
     """
 
@@ -106,10 +122,10 @@ class CircuitHamiltonian:
     def __post_init__(self):
         kinds = tuple(ModeKind(k) for k in self.kinds)
         n, n_J = len(kinds), kinds.count(ModeKind.JUNCTION)
-        E_J = np.asarray(_given(self.E_J, ()), dtype=float)
-        if E_J.size != n_J:
+        E_J = _given(self.E_J, ())
+        if np.size(E_J) != n_J:
             raise InvalidHamiltonianError(
-                f"{E_J.size} junction energies given for {n_J} junction modes"
+                f"{np.size(E_J)} junction energies given for {n_J} junction modes"
             )
         N = _shaped("N", _given(self.N, np.zeros((n, 0))), (n, None))
         C_V = _shaped("C_V", _given(self.C_V, np.zeros((n, 0))), (n, None))
@@ -145,10 +161,6 @@ class CircuitHamiltonian:
         return sum(1 for k in self.kinds if k is ModeKind.JUNCTION)
 
     @property
-    def n_L(self) -> int:
-        return self.n - self.n_J
-
-    @property
     def junction_indices(self) -> tuple[int, ...]:
         return tuple(i for i, k in enumerate(self.kinds) if k is ModeKind.JUNCTION)
 
@@ -160,54 +172,32 @@ class CircuitHamiltonian:
         return dataclasses.replace(self, **changes)
 
 
-@dataclass(frozen=True)
-class ValidationCheck:
-    name: str
-    value: float
-    threshold: float
-    passed: bool
+def validate(H: CircuitHamiltonian) -> tuple[str, ...]:
+    """The failed checks of C_inv positive definite and M0 positive semidefinite.
 
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[ValidationCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> tuple[ValidationCheck, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
-
-def validate(H: CircuitHamiltonian) -> ValidationReport:
-    """Check that C_inv is positive definite and M0 positive semidefinite.
-
-    Report-only; see :func:`require_valid` for the raising form used by
-    the library's entry points.  Symmetry and shapes need no check here:
-    construction rejects asymmetric matrices, symmetrizes the rest
-    exactly, and rejects inconsistent shapes.
+    Each failure reads ``"<check> (value v, threshold t)"``, with v the
+    smallest eigenvalue; an empty tuple means H passed.  See
+    :func:`require_valid` for the raising form used by the library's entry
+    points.  Symmetry and shapes need no check here: construction rejects
+    asymmetric matrices, symmetrizes the rest exactly, and rejects
+    inconsistent shapes.
     """
-    checks = []
-
-    def add(name, value, threshold, passed):
-        checks.append(ValidationCheck(name, float(value), float(threshold), bool(passed)))
-
     c_eigs = np.linalg.eigvalsh(H.C_inv)
     c_floor = DEFINITENESS_RTOL * np.abs(c_eigs).max()
-    add("C_inv_positive_definite", c_eigs[0], c_floor, c_eigs[0] > c_floor)
-
     m_eigs = np.linalg.eigvalsh(H.M0)
     m_floor = -DEFINITENESS_RTOL * max(np.abs(m_eigs).max(), 1e-300)
-    add("M0_positive_semidefinite", m_eigs[0], m_floor, m_eigs[0] >= m_floor)
-    return ValidationReport(tuple(checks))
+    checks = (
+        ("C_inv_positive_definite", c_eigs[0], c_floor, c_eigs[0] > c_floor),
+        ("M0_positive_semidefinite", m_eigs[0], m_floor, m_eigs[0] >= m_floor),
+    )
+    return tuple(
+        f"{name} (value {value:.3e}, threshold {threshold:.3e})"
+        for name, value, threshold, passed in checks
+        if not passed
+    )
 
 
 def require_valid(H: CircuitHamiltonian) -> None:
-    report = validate(H)
-    if not report.ok:
-        bad = ", ".join(
-            f"{c.name} (value {c.value:.3e}, threshold {c.threshold:.3e})"
-            for c in report.failures()
-        )
-        raise InvalidHamiltonianError(f"Hamiltonian failed validation: {bad}")
+    failures = validate(H)
+    if failures:
+        raise InvalidHamiltonianError("Hamiltonian failed validation: " + ", ".join(failures))

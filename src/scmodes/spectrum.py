@@ -134,8 +134,9 @@ class LocalMode:
     operator is its primitive matrix X projected as P^H X P onto the
     retained eigenvectors P.  ``phase_factors[a]`` holds exp(i*a*phi), one
     key per cosine coefficient of the mode as :func:`split_cosine_row`
-    gives it; exp(-i*a*phi) is its conjugate transpose.  ``phi_op`` is
-    None for charge-basis modes, whose compact phase has no flux operator.
+    gives it and no other, since exp(-i*a*phi) is its conjugate transpose.
+    ``phi_op`` is None for charge-basis modes, whose compact phase has no
+    flux operator.
     ``real_basis`` records whether P is real (false only for a harmonic
     mode with a voltage drive); the assembler does not read it (it
     inspects the matrices), but the flop model of ``bench/layers.py`` does.
@@ -154,14 +155,12 @@ class LocalMode:
         return self.energies.shape[0]
 
     def phase_factor(self, a: float) -> np.ndarray:
-        """exp(i*a*phi) for a key ``a`` or ``-a`` taken from the same ``J_args`` entry."""
-        if a in self.phase_factors:
-            return self.phase_factors[a]
-        if -a in self.phase_factors:
-            return self.phase_factors[-a].conj().T
-        raise BasisMismatchError(
-            f"mode {self.mode_index} has no phase factor for coefficient {a!r}"
-        )
+        """exp(i*a*phi) for a key ``a`` exactly as :func:`split_cosine_row` gave it."""
+        if a not in self.phase_factors:
+            raise BasisMismatchError(
+                f"mode {self.mode_index} has no phase factor for coefficient {a!r}"
+            )
+        return self.phase_factors[a]
 
     def truncated(self, d: int) -> "LocalMode":
         """The same mode restricted to its lowest d retained states."""
@@ -396,14 +395,6 @@ class ProductOperator:
         """
         return self.matmat(np.eye(self.dim))
 
-    def aslinearoperator(self) -> scipy.sparse.linalg.LinearOperator:
-        return scipy.sparse.linalg.LinearOperator(
-            shape=(self.dim, self.dim),
-            matvec=self.matvec,
-            matmat=self.matmat,
-            dtype=self.dtype,
-        )
-
 
 def assemble_hamiltonian(
     locals_: list[LocalMode],
@@ -505,10 +496,12 @@ def eigensolve(
         if start is not None:
             s = np.asarray(start).reshape(op.dim, -1).sum(axis=1)
             v0 = s + (_START_ADMIXTURE * np.linalg.norm(s) / np.linalg.norm(v0)) * v0
+        A = scipy.sparse.linalg.LinearOperator(
+            (op.dim, op.dim), matvec=op.matvec, matmat=op.matmat, dtype=op.dtype
+        )
         try:
             evals, evecs = scipy.sparse.linalg.eigsh(
-                op.aslinearoperator(), k=k, which="SA", tol=tol, ncv=ncv,
-                maxiter=maxiter, v0=v0,
+                A, k=k, which="SA", tol=tol, ncv=ncv, maxiter=maxiter, v0=v0
             )
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             got = exc.eigenvalues
@@ -610,7 +603,6 @@ def embed(vectors: np.ndarray, old_dims, new_dims) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReducedDensityMatrix:
-    mode_index: int
     rho: np.ndarray
 
     @property
@@ -631,7 +623,7 @@ def reduced_density_matrix(
     others = [ax for ax in range(len(result.cutoffs)) if ax != mode]
     rho = np.tensordot(psi.conj(), psi, axes=(others, others))
     rho = (rho + rho.conj().T) / 2.0
-    return ReducedDensityMatrix(mode_index=mode, rho=rho)
+    return ReducedDensityMatrix(rho=rho)
 
 
 def adaptive_cutoffs(
@@ -640,7 +632,6 @@ def adaptive_cutoffs(
     d_init: int = 8,
     d_max: int = 64,
     max_rounds: int = 10,
-    tol: float = SOLVE_TOL,
 ) -> tuple[int, ...]:
     """Per-mode cutoffs d_k with ground-state populations below epsilon past d_k.
 
@@ -653,13 +644,14 @@ def adaptive_cutoffs(
     and the targets, those dimensions minus one, are returned;
     ``max_rounds`` without such a round raises :class:`CutoffLimitError`.
 
-    Each round after the first starts ARPACK from the previous round's
+    Each round solves to SOLVE_TOL, as :func:`spectrum_vs_cutoff` does,
+    and each after the first starts ARPACK from the previous round's
     ground state, embedded in the new working dimensions.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     require_valid(H)
-    solve_at = _warm_solver(H, make_locals_builder(H), tol)
+    solve_at = _warm_solver(H, make_locals_builder(H), SOLVE_TOL)
     work = [min(d_init, d_max)] * H.n
     for _ in range(max_rounds):
         ground = solve_at(work, 1)

@@ -78,8 +78,10 @@ def test_inspect_invalid_hamiltonian(tmp_path, capsys):
         (dict(n=5.7), "n = 5.7 but 5 mode kinds listed"),
         (dict(n_J=2.5), "n_J = 2.5 but 2 junction energies listed"),
         (dict(E_J=[{"value": -3.9, "sign": 1}, {"value": 3.9}]), "E_J has negative entries"),
+        (dict(E_J=[{"value": "3.9", "sign": -1}, {"value": 4.4}]), "E_J has non-numeric entries"),
     ],
-    ids=["infinite-E_J", "nan-C_inv", "fractional-n", "fractional-n_J", "negative-E_J"],
+    ids=["infinite-E_J", "nan-C_inv", "fractional-n", "fractional-n_J", "negative-E_J",
+         "string-E_J"],
 )
 def test_inspect_rejects_bad_numbers(tmp_path, capsys, fluxonium, change, message):
     bad = tmp_path / "bad.json"
@@ -378,6 +380,53 @@ def test_hamiltonian_file_round_trip_is_bit_exact(tmp_path_factory, circuit):
     original, transformed = circuit
     assert "J_args" not in io.hamiltonian_to_dict(original)
     assert ("J_args" in io.hamiltonian_to_dict(transformed)) == (transformed.n_J > 0)
+
+
+# A file with every field set, J_args included
+EVERY_FIELD = {
+    "mode_kinds": ["junction", "inductor"],
+    "C_inv": [[2.0, 0.1], [0.1, 1.0]],
+    "M0": [[0.5, 0.0], [0.0, 1.0]],
+    "N": [[0.0], [0.2]],
+    "C_V": [[0.1], [0.0]],
+    "E_J": [{"value": 1.0, "sign": -1}],
+    "J_args": [[1.0, 0.3]],
+    "Phi_x": [0.4],
+    "V": [0.01],
+}
+
+
+@pytest.mark.parametrize("bad", ["1.0", True, None], ids=["string", "true", "null"])
+@pytest.mark.parametrize(
+    "field", ["C_inv", "M0", "N", "C_V", "J_args", "Phi_x", "V", "E_J", "E_sign"]
+)
+def test_hamiltonian_file_entries_must_be_numbers(field, bad):
+    data = json.loads(json.dumps(EVERY_FIELD))
+    io.hamiltonian_from_dict(data)  # valid as written
+    if field in ("E_J", "E_sign"):
+        data["E_J"][0]["value" if field == "E_J" else "sign"] = bad
+    else:
+        # the last entry, so that a matrix mixes it with numbers
+        last = data[field][-1] if isinstance(data[field][-1], list) else data[field]
+        last[-1] = bad
+    with pytest.raises(io.ParseError, match=f"^<dict>: {field} has non-numeric entries$"):
+        io.hamiltonian_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("n", True, "n = True is not an integer"),
+        ("n_J", True, "n_J = True is not an integer"),
+        ("n", 1.0, "n = 1.0 is not an integer"),
+        ("n_J", "1", "n_J = '1' but 1 junction energies listed"),
+    ],
+)
+def test_hamiltonian_file_counts_must_be_integers(key, value, message):
+    one = {"mode_kinds": ["junction"], "C_inv": [[1.0]], "M0": [[0.0]], "E_J": [{"value": 1.0}]}
+    io.hamiltonian_from_dict({**one, key: 1})
+    with pytest.raises(io.ParseError, match=f"^<dict>: {message}$"):
+        io.hamiltonian_from_dict({**one, key: value})
 
 
 @pytest.mark.parametrize(

@@ -3,18 +3,18 @@
 import numpy as np
 import pytest
 
-from scmodes import validate
+from scmodes import require_valid, validate
 from scmodes.model import CircuitHamiltonian, InvalidHamiltonianError, ModeKind
 
 from conftest import random_spd
 
 
 def test_validate_accepts_fluxonium(fluxonium):
-    assert validate(fluxonium).ok
+    assert validate(fluxonium) == ()
 
 
 def test_validate_accepts_cooper_pair_box(cpb):
-    assert validate(cpb).ok
+    assert validate(cpb) == ()
 
 
 def test_validate_accepts_uncorrected_example_matrices():
@@ -28,7 +28,12 @@ def test_validate_accepts_uncorrected_example_matrices():
         E_J=[3.0],
         V=[0.0],
     )
-    assert validate(H).ok
+    assert validate(H) == ()
+
+
+# the smallest eigenvalue against DEFINITENESS_RTOL times the largest |eigenvalue|
+C_INV_FAILS = "C_inv_positive_definite (value -1.000e+00, threshold 2.000e-12)"
+M0_FAILS = "M0_positive_semidefinite (value -5.000e-01, threshold -2.000e-12)"
 
 
 def test_negative_definite_c_inv_flagged():
@@ -36,10 +41,23 @@ def test_negative_definite_c_inv_flagged():
     H = CircuitHamiltonian(
         kinds=[ModeKind.INDUCTOR] * 3, C_inv=C, M0=np.eye(3)
     )
-    report = validate(H)
-    assert not report.ok
-    names = [c.name for c in report.failures()]
-    assert "C_inv_positive_definite" in names
+    assert validate(H) == (C_INV_FAILS,)
+
+
+@pytest.mark.parametrize(
+    "C_inv,M0,failures",
+    [
+        ([1.0, -1.0, 2.0], [1.0, 1.0, 1.0], C_INV_FAILS),
+        ([1.0, 1.0, 1.0], [1.0, -0.5, 2.0], M0_FAILS),
+        ([1.0, -1.0, 2.0], [1.0, -0.5, 2.0], f"{C_INV_FAILS}, {M0_FAILS}"),
+    ],
+    ids=["C_inv", "M0", "both"],
+)
+def test_require_valid_message(C_inv, M0, failures):
+    H = CircuitHamiltonian(kinds=[ModeKind.INDUCTOR] * 3, C_inv=np.diag(C_inv), M0=np.diag(M0))
+    with pytest.raises(InvalidHamiltonianError) as exc:
+        require_valid(H)
+    assert str(exc.value) == f"Hamiltonian failed validation: {failures}"
 
 
 def test_gram_constructed_matrices_pass():
@@ -52,7 +70,7 @@ def test_gram_constructed_matrices_pass():
         G = rng.standard_normal((rng.integers(1, n + 1), n))
         M = G.T @ G  # PSD, possibly singular
         H = CircuitHamiltonian(kinds=[ModeKind.INDUCTOR] * n, C_inv=C, M0=M)
-        assert validate(H).ok
+        assert validate(H) == ()
 
 
 def test_validate_is_pure(fluxonium):
@@ -169,6 +187,26 @@ def test_non_finite_entry_rejected(field, bad):
     value.flat[-1] = bad
     with pytest.raises(InvalidHamiltonianError, match=f"{field} has non-finite entries"):
         CircuitHamiltonian(**dict(EVERY_FIELD, **{field: value}))
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("J_args", [[1.0, True]]),  # converts to a float array without complaint
+        ("E_sign", np.array([True])),
+        ("C_inv", np.array([["2.0", "0.1"], ["0.1", "1.0"]])),
+        ("Phi_x", np.array([None])),
+    ],
+    ids=["mixed-list", "bool-array", "string-array", "object-array"],
+)
+def test_non_numeric_entry_rejected(field, value):
+    with pytest.raises(InvalidHamiltonianError, match=f"{field} has non-numeric entries"):
+        CircuitHamiltonian(**dict(EVERY_FIELD, **{field: value}))
+
+
+def test_integer_entries_accepted():
+    H = CircuitHamiltonian(**dict(EVERY_FIELD, E_J=[1], E_sign=np.array([-1]), M0=[[1, 0], [0, 1]]))
+    assert (H.E_J.dtype, H.E_sign.tolist(), H.M0.tolist()) == (float, [-1.0], [[1.0, 0.0], [0.0, 1.0]])
 
 
 def test_negative_junction_energy_rejected():

@@ -128,14 +128,14 @@ def test_phase_factor_unitarity():
     # untruncated: exactly unitary
     loc = build_local_mode(H, 0, primitive_dim=60, keep=60)
     E = loc.phase_factor(1.0)
-    np.testing.assert_allclose(E @ loc.phase_factor(-1.0), np.eye(60), atol=1e-8)
+    np.testing.assert_allclose(E @ E.conj().T, np.eye(60), atol=1e-8)
     # Truncation always leaks at the top kept states (exp(i*phi) maps them
     # partially out of the kept space), but matrix elements between states
     # the cutoff comfortably covers stay unitary far below the documented
     # 1e-6 tolerance.
     loc = build_local_mode(H, 0, primitive_dim=200, keep=30)
     E = loc.phase_factor(1.0)
-    product = E @ loc.phase_factor(-1.0)
+    product = E @ E.conj().T
     np.testing.assert_allclose(product[:8, :8], np.eye(30)[:8, :8], atol=1e-6)
 
 
@@ -504,6 +504,34 @@ def test_eigensolve_rejects_large_residual(monkeypatch):
     assert residuals.shape == (3,)
     np.testing.assert_allclose(residuals[1], 1e-3, rtol=1e-6)
     assert residuals[0] < 1e-10 and residuals[2] < 1e-10
+
+
+@pytest.mark.parametrize("vectors", ["one-pair", "none"])
+def test_arpack_non_convergence_reports_pairs_found(monkeypatch, vectors):
+    H = coupled_pair()
+    op = assembled(H, [70, 70])
+    assert op.dim > spectrum.DENSE_LIMIT
+    # a dense ground state at [20, 20], whose weight near the top of that
+    # space is far below the solver tolerance, embedded as the converged pair
+    ref = eigensolve(assembled(H, [20, 20]), k=1)
+    found = embed(ref.eigenvectors, ref.cutoffs, op.dims)
+
+    def no_convergence(A, k, **kwargs):
+        assert A.shape == (op.dim, op.dim) and A.dtype == op.dtype and k == 3
+        np.testing.assert_array_equal(A @ found, op.matmat(found))
+        raise spectrum.scipy.sparse.linalg.ArpackNoConvergence(
+            "ARPACK error -1: No convergence", ref.eigenvalues,
+            found if vectors == "one-pair" else None,
+        )
+
+    monkeypatch.setattr(spectrum.scipy.sparse.linalg, "eigsh", no_convergence)
+    with pytest.raises(EigensolverConvergenceError, match=r"\(1 of 3 eigenpairs found\)") as info:
+        eigensolve(op, k=3)
+    residuals = info.value.residuals
+    if vectors == "none":
+        assert residuals is None
+    else:
+        assert residuals.shape == (1,) and residuals[0] < 1e-10
 
 
 @pytest.mark.xfail(strict=True, reason="single-vector Lanczos misses exact degenerate copies")

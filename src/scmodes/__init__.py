@@ -39,15 +39,12 @@ from .model import (
 )
 from .spectrum import (
     BasisMismatchError,
-    ChargeBasis,
     CosineCoupling,
     CouplingSet,
     CutoffLimitError,
     EigensolverConvergenceError,
-    HarmonicBasis,
     LocalMode,
     ProductOperator,
-    ReducedDensityMatrix,
     SpectrumResult,
     adaptive_cutoffs,
     assemble_hamiltonian,

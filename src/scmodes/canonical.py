@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CircuitHamiltonian
+from .model import CircuitHamiltonian, _real_numbers
 
 INVERSE_RTOL = 1e-10
 
 
 class SingularTransformError(ValueError):
-    """Raised when a transformation matrix is singular to working precision."""
+    """Raised when a transformation matrix is not a finite real square matrix,
+    or is singular to working precision."""
 
 
 def _inverse_residual(W: np.ndarray, W_inv: np.ndarray) -> float:
@@ -29,16 +30,27 @@ def _inverse_residual(W: np.ndarray, W_inv: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class CanonicalTransform:
-    """An invertible flux-space matrix with its cached inverse."""
+    """An invertible flux-space matrix with its cached inverse.
+
+    Both must be square, of equal shape, with finite real-number entries
+    (strings, booleans and None are rejected, not converted), and
+    W W_inv must equal the identity to INVERSE_RTOL * n.
+    """
 
     W: np.ndarray
     W_inv: np.ndarray
 
     def __post_init__(self):
+        for name in ("W", "W_inv"):
+            if not _real_numbers(getattr(self, name)):
+                raise SingularTransformError(f"{name} has non-numeric entries")
         W = np.asarray(self.W, dtype=float)
         W_inv = np.asarray(self.W_inv, dtype=float)
         if W.ndim != 2 or W.shape[0] != W.shape[1] or W.shape != W_inv.shape:
             raise SingularTransformError("W and W_inv must be square matrices of equal shape")
+        for name, a in (("W", W), ("W_inv", W_inv)):
+            if not np.isfinite(a).all():
+                raise SingularTransformError(f"{name} has non-finite entries")
         residual = _inverse_residual(W, W_inv)
         if residual > INVERSE_RTOL * W.shape[0]:
             raise SingularTransformError(

@@ -38,11 +38,19 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def _check_ranges(args):
-    """Reject a bad --k, --epsilon or --state before any file is read."""
+    """Reject a bad --k, --epsilon, --threshold, --max-sweeps or --state
+    before any file is read, with the library's messages."""
     if getattr(args, "k", 1) < 1:
         raise ValueError(f"k = {args.k} must be at least 1")
-    if getattr(args, "epsilon", 1.0) <= 0:
+    epsilon = getattr(args, "epsilon", 0.5)
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
+    if not epsilon < 1:
+        raise ValueError("epsilon must be below 1")
+    if not 0 <= getattr(args, "threshold", 0.0) < 1:
+        raise ValueError(f"threshold = {args.threshold} must lie in [0, 1)")
+    if getattr(args, "max_sweeps", 0) < 0:
+        raise ValueError(f"max_sweeps = {args.max_sweeps} must be >= 0")
     if getattr(args, "state", 0) < 0:
         raise ValueError(f"--state must be >= 0, got {args.state}")
 
@@ -133,7 +141,7 @@ def cmd_rdm(args) -> int:
     result = spectrum.solve(H, cutoffs, k=args.state + 1)
     rows = []
     for mode in range(H.n):
-        pops = spectrum.reduced_density_matrix(result, args.state, mode).populations
+        pops = spectrum.reduced_density_matrix(result, args.state, mode).diagonal().real
         for m, p in enumerate(pops):
             rows.append((mode, m, p))
     io.write_csv(rows, header=["mode", "m", "rho_mm"], path=args.output)

@@ -128,6 +128,8 @@ def simultaneous_approx_diag(
     ``max_sweeps`` when that rule fired.  ``on_rotation``, if given, is
     called with the objective after every step.
     """
+    if max_sweeps < 0:
+        raise ValueError(f"max_sweeps = {max_sweeps} must be >= 0")
     require_valid(H)
     steps = _round_robin(H.inductor_indices)
     mats = np.stack([H.M0, H.C_inv])
@@ -158,7 +160,8 @@ def _block_symplectic(H: CircuitHamiltonian, modes, method: DecoupleMethod) -> D
     W, W_inv = np.eye(H.n), np.eye(H.n)
     if modes:
         ix = np.ix_(modes, modes)
-        S = symplectic.block_williamson(H.M0[ix], H.C_inv[ix]).block_form
+        m = len(modes)
+        S = symplectic.block_williamson(H.M0[ix], H.C_inv[ix]).S[:m, :m]
         W[ix], W_inv[ix] = np.linalg.inv(S), S
     return _result(H, canonical.CanonicalTransform(W, W_inv), method)
 

@@ -84,8 +84,11 @@ def count_free_modes(
     matrix gives the free directions as the right singular vectors whose
     singular value is below ``threshold``.  These singular values are the
     sines of the angles by which the directions miss ker(N^T) and the
-    inductor span, so they are already on a unit scale.
+    inductor span, so they are already on a unit scale, and ``threshold``
+    must lie in [0, 1).
     """
+    if not 0 <= threshold < 1:
+        raise ValueError(f"threshold = {threshold} must lie in [0, 1)")
     require_valid(H)
     Z = _kernel_basis(H.M0, threshold, "M0")
     Z_N = _kernel_basis(H.N.T, threshold, "N^T")

@@ -122,12 +122,11 @@ def save_transform(T: CanonicalTransform, path: str) -> None:
 def load_transform(path: str) -> CanonicalTransform:
     data = _read_json(path)
     try:
-        W, W_inv = (np.array(data[key], dtype=float) for key in ("W", "W_inv"))
+        return CanonicalTransform(data["W"], data["W_inv"])
     except KeyError as exc:
         raise ParseError(f"{path}: missing required field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    return CanonicalTransform(W, W_inv)
 
 
 def format_value(x) -> str:

@@ -84,22 +84,6 @@ class CutoffLimitError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class HarmonicBasis:
-    dim: int
-    frequency: float
-    impedance: float
-
-
-@dataclass(frozen=True)
-class ChargeBasis:
-    max_charge: int
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.max_charge + 1
-
-
-@dataclass(frozen=True)
 class CosineCoupling:
     """Residual coupling -sign*energy*[cos(sum a_j phi_j) - sum cos(a_j phi_j)]."""
 
@@ -130,20 +114,19 @@ def split_cosine_row(
 class LocalMode:
     """One mode's truncated eigenbasis and its operators therein.
 
-    ``basis`` is the primitive basis :func:`default_basis` chose, and every
-    operator is its primitive matrix X projected as P^H X P onto the
-    retained eigenvectors P.  ``phase_factors[a]`` holds exp(i*a*phi), one
-    key per cosine coefficient of the mode as :func:`split_cosine_row`
-    gives it and no other, since exp(-i*a*phi) is its conjugate transpose.
-    ``phi_op`` is None for charge-basis modes, whose compact phase has no
-    flux operator.
+    Every operator is a primitive-basis matrix X projected as P^H X P onto
+    the retained eigenvectors P (see :func:`build_local_mode`).
+    ``phase_factors[a]`` holds exp(i*a*phi), one key per cosine coefficient
+    of the mode as :func:`split_cosine_row` gives it and no other, since
+    exp(-i*a*phi) is its conjugate transpose.  ``phi_op`` is None exactly
+    for charge-basis modes, whose compact phase has no flux operator, so it
+    also records the basis kind.
     ``real_basis`` records whether P is real (false only for a harmonic
     mode with a voltage drive); the assembler does not read it (it
     inspects the matrices), but the flop model of ``bench/layers.py`` does.
     """
 
     mode_index: int
-    basis: HarmonicBasis | ChargeBasis
     energies: np.ndarray
     phi_op: np.ndarray | None
     n_op: np.ndarray
@@ -168,37 +151,12 @@ class LocalMode:
             raise ValueError(f"cannot truncate to {d} states, only {self.dim} retained")
         return LocalMode(
             mode_index=self.mode_index,
-            basis=self.basis,
             energies=self.energies[:d],
             phi_op=None if self.phi_op is None else self.phi_op[:d, :d],
             n_op=self.n_op[:d, :d],
             phase_factors={a: m[:d, :d] for a, m in self.phase_factors.items()},
             real_basis=self.real_basis,
         )
-
-
-def default_basis(
-    H: CircuitHamiltonian, mode: int, primitive_dim: int | None = None, keep: int = 10
-) -> HarmonicBasis | ChargeBasis:
-    """The primitive basis of one mode, decided from H alone.
-
-    A mode with a diagonal flux term, M0_ii > 1e-10 * max(1, max|M0|), gets
-    the harmonic-oscillator basis of 1/2 C_inv_ii n^2 + 1/2 M0_ii phi^2 with
-    max(200, 4*keep) states; any other mode gets the charge states
-    -max(40, 2*keep) .. max(40, 2*keep).  ``primitive_dim`` overrides the
-    size: that many oscillator states, or charges +-(primitive_dim - 1)//2.
-    """
-    m_ii = float(H.M0[mode, mode])
-    if m_ii > 1e-10 * max(1.0, np.abs(H.M0).max()):
-        c_ii = float(H.C_inv[mode, mode])
-        return HarmonicBasis(
-            dim=primitive_dim or max(_HO_DEFAULT_DIM, 4 * keep),
-            frequency=float(np.sqrt(c_ii * m_ii)),
-            impedance=float(np.sqrt(c_ii / m_ii)),
-        )
-    if primitive_dim is not None:
-        return ChargeBasis(max_charge=max(1, (primitive_dim - 1) // 2))
-    return ChargeBasis(max_charge=max(_CHARGE_DEFAULT_MAX, 2 * keep))
 
 
 def build_local_mode(
@@ -212,15 +170,29 @@ def build_local_mode(
     The local Hamiltonian is
     1/2 C_inv_ii n^2 + 1/2 M0_ii phi^2 + (N Phi_x)_i phi
     - sum_r sign_r E_J_r cos(a_r phi) - (C_inv C_V V)_i n
-    in the primitive basis :func:`default_basis` picks, with the cosine
-    sum running over the local terms :func:`split_cosine_row` gives this
-    mode.  Phase factors exp(i*a*phi) are prepared for every such
+    with the cosine sum running over the local terms :func:`split_cosine_row`
+    gives this mode.  The primitive basis is decided from H alone.  A mode
+    with a diagonal flux term, M0_ii > 1e-10 * max(1, max|M0|), gets the
+    harmonic-oscillator basis of 1/2 C_inv_ii n^2 + 1/2 M0_ii phi^2 with
+    max(200, 4*keep) states; any other mode gets the charge states
+    -max(40, 2*keep) .. max(40, 2*keep).  ``primitive_dim`` overrides the
+    size: that many oscillator states, or charges +-(primitive_dim - 1)//2.
+    Phase factors exp(i*a*phi) are prepared for every local cosine
     coefficient.  A charge-basis mode takes no linear flux term and only
     nonzero integer cosine coefficients (:class:`BasisMismatchError`).
     """
-    basis = default_basis(H, mode, primitive_dim, keep)
-    if keep > basis.dim:
-        raise ValueError(f"keep = {keep} exceeds primitive dimension {basis.dim}")
+    c_ii, m_ii = float(H.C_inv[mode, mode]), float(H.M0[mode, mode])
+    harmonic = m_ii > 1e-10 * max(1.0, np.abs(H.M0).max())
+    if harmonic:
+        dim = primitive_dim or max(_HO_DEFAULT_DIM, 4 * keep)
+    else:
+        if primitive_dim is None:
+            max_charge = max(_CHARGE_DEFAULT_MAX, 2 * keep)
+        else:
+            max_charge = max(1, (primitive_dim - 1) // 2)
+        dim = 2 * max_charge + 1
+    if keep > dim:
+        raise ValueError(f"keep = {keep} exceeds primitive dimension {dim}")
     flux_lin = float((H.N @ H.Phi_x)[mode]) if H.Phi_x.size else 0.0
     drive = float((H.C_inv @ (H.C_V @ H.V))[mode]) if H.V.size else 0.0
     cos_terms = []
@@ -231,12 +203,12 @@ def build_local_mode(
 
     # Each basis gives H_prim without cosines and drive, phi (None in the
     # charge basis), n, and cos(a*phi) and exp(i*a*phi) as functions of a.
-    if isinstance(basis, HarmonicBasis):
-        dim, z = basis.dim, basis.impedance
+    if harmonic:
+        z = np.sqrt(c_ii / m_ii)  # impedance
         ladder = np.diag(np.sqrt(np.arange(1, dim)), 1)  # annihilation
         phi = np.sqrt(z / 2.0) * (ladder + ladder.T)
         n = 1j * (np.sqrt(1.0 / (2.0 * z)) * (ladder.T - ladder))
-        H_prim = np.diag(basis.frequency * (np.arange(dim) + 0.5)) + flux_lin * phi
+        H_prim = np.diag(np.sqrt(c_ii * m_ii) * (np.arange(dim) + 0.5)) + flux_lin * phi
         xs, U = np.linalg.eigh(phi)
         cos = lambda a: (U * np.cos(a * xs)) @ U.T  # noqa: E731
         exp = lambda a: (U * np.exp(1j * a * xs)) @ U.T  # noqa: E731
@@ -251,12 +223,12 @@ def build_local_mode(
                     f"mode {mode}: cosine coefficient {a!r} is not a nonzero integer; "
                     "the charge basis supports integer phase shifts only"
                 )
-        charges = np.arange(-basis.max_charge, basis.max_charge + 1, dtype=float)
+        charges = np.arange(-max_charge, max_charge + 1, dtype=float)
         phi = None
         n = np.diag(charges)
-        H_prim = np.diag(0.5 * float(H.C_inv[mode, mode]) * charges**2)
+        H_prim = np.diag(0.5 * c_ii * charges**2)
         # exp(i*a*phi): |m> -> |m + a>
-        exp = lambda a: np.eye(basis.dim, k=-round(a))  # noqa: E731
+        exp = lambda a: np.eye(dim, k=-round(a))  # noqa: E731
         cos = lambda a: 0.5 * (exp(a) + exp(a).T)  # noqa: E731
 
     for energy, sign, a in cos_terms:
@@ -268,7 +240,6 @@ def build_local_mode(
     project = lambda X: P.conj().T @ X @ P  # noqa: E731
     return LocalMode(
         mode_index=mode,
-        basis=basis,
         energies=evals[:keep],
         phi_op=None if phi is None else project(phi),
         n_op=project(n),
@@ -601,19 +572,12 @@ def embed(vectors: np.ndarray, old_dims, new_dims) -> np.ndarray:
     return out.reshape(-1, m)
 
 
-@dataclass(frozen=True)
-class ReducedDensityMatrix:
-    rho: np.ndarray
+def reduced_density_matrix(result: SpectrumResult, state: int, mode: int) -> np.ndarray:
+    """Trace the chosen eigenstate's projector over all modes but one.
 
-    @property
-    def populations(self) -> np.ndarray:
-        return np.real(np.diag(self.rho))
-
-
-def reduced_density_matrix(
-    result: SpectrumResult, state: int, mode: int
-) -> ReducedDensityMatrix:
-    """Trace the chosen eigenstate's projector over all modes but one."""
+    The Hermitian (d, d) matrix over the mode's retained states; its real
+    diagonal holds the populations.
+    """
     k = result.eigenvalues.shape[0]
     if not 0 <= state < k:
         raise IndexError(f"state {state} out of range (k = {k})")
@@ -622,8 +586,7 @@ def reduced_density_matrix(
     psi = result.eigenvectors[:, state].reshape(result.cutoffs)
     others = [ax for ax in range(len(result.cutoffs)) if ax != mode]
     rho = np.tensordot(psi.conj(), psi, axes=(others, others))
-    rho = (rho + rho.conj().T) / 2.0
-    return ReducedDensityMatrix(rho=rho)
+    return (rho + rho.conj().T) / 2.0
 
 
 def adaptive_cutoffs(
@@ -648,8 +611,10 @@ def adaptive_cutoffs(
     and each after the first starts ARPACK from the previous round's
     ground state, embedded in the new working dimensions.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
+    if not epsilon < 1:  # no population exceeds 1
+        raise ValueError("epsilon must be below 1")
     require_valid(H)
     solve_at = _warm_solver(H, make_locals_builder(H), SOLVE_TOL)
     work = [min(d_init, d_max)] * H.n
@@ -657,7 +622,7 @@ def adaptive_cutoffs(
         ground = solve_at(work, 1)
         new = []
         for m, d in enumerate(work):
-            pops = reduced_density_matrix(ground, 0, m).populations
+            pops = reduced_density_matrix(ground, 0, m).diagonal().real
             above = np.nonzero(pops >= epsilon)[0]
             t = int(above[-1]) + 1 if above.size else 1
             if t < d:

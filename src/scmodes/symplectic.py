@@ -61,12 +61,12 @@ def _eigh_power(M: np.ndarray, power: float, name: str) -> np.ndarray:
 class SymplecticFactorization:
     """S and Lambda with S^T M S = diag(Lambda, Lambda).
 
-    ``block_form`` holds S_n when S = diag(S_n, (S_n^T)^-1).
+    From :func:`block_williamson`, S = diag(S_n, (S_n^T)^-1), and S_n is
+    ``S[:n, :n]``.
     """
 
     S: np.ndarray
     Lambda: np.ndarray
-    block_form: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -157,4 +157,4 @@ def block_williamson(A: np.ndarray, B: np.ndarray) -> SymplecticFactorization:
     S = np.zeros((2 * n, 2 * n))
     S[:n, :n] = Sn
     S[n:, n:] = lower
-    return SymplecticFactorization(S=S, Lambda=1.0 / D, block_form=Sn)
+    return SymplecticFactorization(S=S, Lambda=1.0 / D)

@@ -53,6 +53,26 @@ def test_wrong_inverse_rejected():
         CanonicalTransform(np.eye(2), 2 * np.eye(2))
 
 
+@pytest.mark.parametrize(
+    "entry,inverse,message",
+    [
+        ("0.5", 2.0, "non-numeric"),
+        (True, 1.0, "non-numeric"),
+        (None, 1.0, "non-numeric"),
+        (float("nan"), 1.0, "non-finite"),
+        (float("inf"), 0.0, "non-finite"),
+    ],
+    ids=["string", "boolean", "null", "nan", "infinity"],
+)
+def test_transform_entries_must_be_finite_numbers(entry, inverse, message):
+    # NaN > tol is False, so a NaN residual would pass the inverse check
+    for W, W_inv, name in (([[entry]], [[inverse]], "W"), ([[inverse]], [[entry]], "W_inv")):
+        with pytest.raises(SingularTransformError, match=f"^{name} has {message} entries$"):
+            CanonicalTransform(W, W_inv)
+    with pytest.raises(SingularTransformError, match="W has"):
+        CanonicalTransform(np.array([[entry]], dtype=object), np.array([[inverse]]))
+
+
 def test_identity_apply_is_exact(fluxonium):
     H2 = apply(fluxonium, CanonicalTransform.identity(5))
     np.testing.assert_array_equal(H2.C_inv, fluxonium.C_inv)

@@ -296,13 +296,24 @@ def test_rdm_negative_state_is_an_error(tmp_path, capsys, monkeypatch):
         (["spectrum", "--epsilon", "0"], "epsilon must be positive"),
         (["rdm", "--epsilon=-1e-8"], "epsilon must be positive"),
         (["adaptive-cutoffs", "--epsilon", "0"], "epsilon must be positive"),
+        (["adaptive-cutoffs", "--epsilon", "nan"], "epsilon must be positive"),
+        (["adaptive-cutoffs", "--epsilon", "inf"], "epsilon must be below 1"),
+        (["adaptive-cutoffs", "--epsilon", "2"], "epsilon must be below 1"),
+        (["rdm", "--epsilon", "1"], "epsilon must be below 1"),
+        (["inspect", "--threshold", "nan"], "threshold = nan must lie in [0, 1)"),
+        (["inspect", "--threshold", "-1"], "threshold = -1.0 must lie in [0, 1)"),
+        (["spectrum", "--threshold", "1"], "threshold = 1.0 must lie in [0, 1)"),
+        (["remove-free", "--output", "unwritten.json", "--threshold", "nan"],
+         "threshold = nan must lie in [0, 1)"),
+        (["decouple", "--method", "sad", "--max-sweeps", "-3"], "max_sweeps = -3 must be >= 0"),
     ],
 )
 def test_bad_k_or_epsilon_rejected_before_loading(capsys, monkeypatch, argv, message):
-    def no_prepare(args):
-        raise AssertionError("prepared the circuit before rejecting the option")
+    def no_prepare(*args):
+        raise AssertionError("read the circuit before rejecting the option")
 
     monkeypatch.setattr(cli, "_prepare", no_prepare)
+    monkeypatch.setattr(cli.io, "load_hamiltonian", no_prepare)
     code, out, err = run(capsys, *argv, "--input", str(FLUXONIUM_PATH))
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
@@ -435,6 +446,12 @@ def test_hamiltonian_file_counts_must_be_integers(key, value, message):
         ({"n": 1, "W": [[1.0]]}, "W_inv"),
         ({"W": [[1.0]], "W_inv": [[1.0, 2.0], [3.0]]}, "t.transform.json"),
         ([[1.0]], "t.transform.json"),
+        # entries must be finite JSON numbers, not converted
+        ({"W": [["0.5"]], "W_inv": [[2.0]]}, "t.transform.json: W has non-numeric entries"),
+        ({"W": [[True]], "W_inv": [[True]]}, "t.transform.json: W has non-numeric entries"),
+        ({"W": [[1.0]], "W_inv": [[None]]}, "t.transform.json: W_inv has non-numeric entries"),
+        ({"W": [[float("nan")]], "W_inv": [[1.0]]}, "t.transform.json: W has non-finite entries"),
+        ({"W": [[float("inf")]], "W_inv": [[0.0]]}, "t.transform.json: W has non-finite entries"),
     ],
 )
 def test_malformed_transform_file(tmp_path, data, message):

@@ -117,6 +117,14 @@ def test_sad_nonconvergence_reported_via_iterations(fluxonium):
     assert result.iterations == 2  # still rotating when the budget ran out
 
 
+def test_sad_rejects_negative_sweep_budget(fluxonium):
+    assert simultaneous_approx_diag(fluxonium, max_sweeps=0).iterations == 0
+    with pytest.raises(ValueError, match=r"^max_sweeps = -3 must be >= 0$"):
+        simultaneous_approx_diag(fluxonium, max_sweeps=-3)
+    with pytest.raises(ValueError, match="max_sweeps"):
+        scmodes.apply_method(fluxonium, "sad", max_sweeps=-1)
+
+
 def mixed_kinds(rng, n_L, n_J):
     """n_L inductor and n_J junction kinds in a random order."""
     kinds = np.array([ModeKind.INDUCTOR] * n_L + [ModeKind.JUNCTION] * n_J)

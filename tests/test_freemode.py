@@ -99,6 +99,17 @@ def test_ambiguous_singular_value_raises():
         count_free_modes(H, threshold=1e-8)
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), -1.0, 1.0, float("inf")])
+def test_threshold_outside_unit_interval_rejected(threshold):
+    # a NaN or negative threshold would classify nothing as free
+    H = CircuitHamiltonian(kinds=[ModeKind.INDUCTOR] * 2, C_inv=np.eye(2), M0=np.diag([1.0, 0.0]))
+    assert count_free_modes(H, threshold=0.0).F == 1
+    with pytest.raises(ValueError, match=r"^threshold = .* must lie in \[0, 1\)$"):
+        count_free_modes(H, threshold=threshold)
+    with pytest.raises(ValueError, match="threshold"):
+        remove_free_modes(H, threshold=threshold)
+
+
 def test_external_flux_with_fewer_columns_than_modes():
     # one external-flux column for two modes (1 = m_x < n)
     H = CircuitHamiltonian(

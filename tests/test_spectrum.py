@@ -10,10 +10,8 @@ from scmodes import spectrum
 from scmodes.model import CircuitHamiltonian, ModeKind
 from scmodes.spectrum import (
     BasisMismatchError,
-    ChargeBasis,
     CouplingSet,
     EigensolverConvergenceError,
-    HarmonicBasis,
     adaptive_cutoffs,
     assemble_hamiltonian,
     build_local_mode,
@@ -48,8 +46,7 @@ def test_harmonic_mode_energies():
     )
     loc = build_local_mode(H, 0, primitive_dim=40, keep=10)
     np.testing.assert_allclose(loc.energies, np.arange(10) + 0.5, atol=1e-8)
-    assert isinstance(loc.basis, HarmonicBasis)
-    np.testing.assert_allclose(loc.basis.frequency, 1.0)
+    assert loc.phi_op is not None
 
 
 def test_cpb_junction_mode_self_convergence(cpb):
@@ -223,8 +220,39 @@ def test_default_harmonic_basis_resolves_displaced_deep_well():
 @given(c=st.floats(0.5, 8.0), E_J=st.floats(0.1, 6.0), sign=st.sampled_from([1.0, -1.0]))
 def test_charge_mode_matches_mathieu(c, E_J, sign):
     loc = build_local_mode(junction_mode(c, 0.0, E_J, sign), 0, keep=4)
-    assert isinstance(loc.basis, ChargeBasis)
+    assert loc.phi_op is None
     np.testing.assert_allclose(loc.energies, mathieu_levels(c, E_J, 4), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("x,harmonic", [(1.5, True), (0.5, False)])
+def test_basis_kind_follows_relative_flux_term(x, harmonic):
+    # harmonic exactly when M0_ii > 1e-10 * max(1, max|M0|), here 2e-10
+    H = CircuitHamiltonian(
+        kinds=[ModeKind.INDUCTOR] * 2, C_inv=np.eye(2), M0=np.diag([2.0, x * 2e-10])
+    )
+    assert (build_local_mode(H, 1, keep=4).phi_op is not None) == harmonic
+
+
+def assert_same_local_mode(a, b):
+    assert a.mode_index == b.mode_index and a.real_basis == b.real_basis
+    for x, y in ((a.energies, b.energies), (a.phi_op, b.phi_op), (a.n_op, b.n_op)):
+        assert (x is None and y is None) or np.array_equal(x, y)
+    assert a.phase_factors.keys() == b.phase_factors.keys()
+    for key in a.phase_factors:
+        assert np.array_equal(a.phase_factors[key], b.phase_factors[key])
+
+
+@pytest.mark.parametrize(
+    "m,keep,primitive_dim",
+    [(0.5, 10, 200), (0.5, 60, 240), (0.0, 10, 81), (0.0, 30, 121)],
+    ids=["harmonic-10", "harmonic-60", "charge-10", "charge-30"],
+)
+def test_default_primitive_size(m, keep, primitive_dim):
+    # max(200, 4 keep) oscillator states; charges +-max(40, 2 keep)
+    H = junction_mode(1.0, m, 2.0, 1.0)
+    default = build_local_mode(H, 0, keep=keep)
+    assert (default.phi_op is not None) == (m > 0)
+    assert_same_local_mode(default, build_local_mode(H, 0, primitive_dim=primitive_dim, keep=keep))
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +662,7 @@ def test_product_state_projector():
         kinds=[ModeKind.INDUCTOR] * 2, C_inv=np.diag([1.0, 2.0]), M0=np.diag([1.0, 2.0])
     )
     res = scmodes.solve(H, [5, 5], k=1)
-    rho = reduced_density_matrix(res, 0, 0).rho
+    rho = reduced_density_matrix(res, 0, 0)
     np.testing.assert_allclose(np.trace(rho), 1.0, atol=1e-10)
     np.testing.assert_allclose(np.trace(rho @ rho), 1.0, atol=1e-12)
 
@@ -644,7 +672,7 @@ def test_partial_trace_matches_dense_reshape_oracle():
     res = scmodes.solve(H, [7, 6], k=3)
     psi = res.eigenvectors[:, 2].reshape(7, 6)
     rho_oracle = np.einsum("ab,cb->ac", psi.conj(), psi)
-    rho = reduced_density_matrix(res, 2, 0).rho
+    rho = reduced_density_matrix(res, 2, 0)
     np.testing.assert_allclose(rho, rho_oracle, atol=1e-12)
     np.testing.assert_allclose(np.trace(rho), 1.0, atol=1e-10)
     assert np.linalg.eigvalsh(rho).min() > -1e-12
@@ -654,8 +682,8 @@ def test_fluxonium_ground_mode_populations_coincide(fluxonium):
     # with no decoupling, the populations of the two stiff inductor modes
     # decay almost identically
     res = scmodes.solve(fluxonium, [10] * 5, k=1)
-    p3 = reduced_density_matrix(res, 0, 2).populations
-    p4 = reduced_density_matrix(res, 0, 3).populations
+    p3 = reduced_density_matrix(res, 0, 2).diagonal().real
+    p4 = reduced_density_matrix(res, 0, 3).diagonal().real
     mask = (p3 > 1e-12) & (p4 > 1e-12)
     ratio = p3[mask] / p4[mask]
     assert ratio.max() < 1.1 and ratio.min() > 1 / 1.1
@@ -684,7 +712,7 @@ def test_adaptive_cutoffs_are_minimal():
     cuts = adaptive_cutoffs(H, epsilon=eps, d_init=4, d_max=32)
     ref = scmodes.solve(H, [max(cuts) + 8] * 2, k=1)
     for mode in range(2):
-        pops = reduced_density_matrix(ref, 0, mode).populations
+        pops = reduced_density_matrix(ref, 0, mode).diagonal().real
         d = cuts[mode]
         assert np.all(pops[d:] < eps)
         assert pops[d - 1] >= eps  # one smaller would violate the criterion
@@ -700,6 +728,22 @@ def test_adaptive_without_fixed_point_raises():
     H = coupled_pair(c01=0.9, m01=0.5)
     with pytest.raises(spectrum.CutoffLimitError, match="fixed point"):
         adaptive_cutoffs(H, epsilon=1e-10, d_init=4, d_max=32, max_rounds=1)
+
+
+@pytest.mark.parametrize(
+    "epsilon,message",
+    [
+        (0.0, "epsilon must be positive"),
+        (-1e-8, "epsilon must be positive"),
+        (float("nan"), "epsilon must be positive"),
+        (1.0, "epsilon must be below 1"),
+        (2.0, "epsilon must be below 1"),
+        (float("inf"), "epsilon must be below 1"),
+    ],
+)
+def test_adaptive_rejects_epsilon_outside_unit_interval(epsilon, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        adaptive_cutoffs(coupled_pair(), epsilon=epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +795,7 @@ def test_drive_keeps_operator_hermitian_and_shifts_levels_slightly(cpb):
     H_drive = H_red.replace(V=np.array([0.003]))
     builder = make_locals_builder(H_drive)
     locs = [builder(m, 6) for m in range(2)]
-    assert isinstance(locs[1].basis, HarmonicBasis) and not locs[1].real_basis
+    assert locs[1].phi_op is not None and not locs[1].real_basis
     op = assemble_hamiltonian(locs, H_drive, CouplingSet.from_hamiltonian(H_drive))
     assert hermiticity_residual(op) < 1e-8
     res = eigensolve(op, k=3)

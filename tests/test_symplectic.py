@@ -33,19 +33,22 @@ def symplectic_eigenvalues_oracle(M):
 
 
 def assert_factorization(M, fact, rtol=1e-8):
-    n = fact.n
     assert symplectic_residual(fact.S) < 1e-8
     target = np.diag(np.concatenate([fact.Lambda, fact.Lambda]))
     scale = np.abs(M).max()
     np.testing.assert_allclose(fact.S.T @ M @ fact.S, target, atol=rtol * scale)
     assert np.all(fact.Lambda > 0)
     assert np.all(np.diff(fact.Lambda) >= -1e-12)
-    if fact.block_form is not None:
-        Sn = fact.block_form
-        np.testing.assert_allclose(fact.S[:n, :n], Sn, atol=1e-8)
-        np.testing.assert_allclose(
-            fact.S[n:, n:], np.linalg.inv(Sn.T), atol=1e-8 * max(1, np.abs(Sn).max())
-        )
+
+
+def assert_block_form(fact):
+    """S = diag(S_n, (S_n^T)^-1) with S_n = S[:n, :n]: no flux-charge mixing."""
+    n = fact.n
+    Sn = fact.S[:n, :n]
+    assert not fact.S[:n, n:].any() and not fact.S[n:, :n].any()
+    np.testing.assert_allclose(
+        fact.S[n:, n:], np.linalg.inv(Sn).T, atol=1e-8 * max(1, np.abs(Sn).max())
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +136,8 @@ def test_rejects_odd_dimension():
 def test_block_identity():
     fact = block_williamson(np.eye(4), np.eye(4))
     np.testing.assert_allclose(fact.Lambda, np.ones(4), atol=1e-12)
-    Sn = fact.block_form
+    assert_block_form(fact)
+    Sn = fact.S[:4, :4]
     np.testing.assert_allclose(Sn @ Sn.T, np.eye(4), atol=1e-10)
 
 
@@ -146,6 +150,7 @@ def test_block_fluxonium_eigenvalues(fluxonium, fluxonium_lambda_reference):
     )
     fact = block_williamson(fluxonium.M0, fluxonium.C_inv)
     assert_factorization(M, fact)
+    assert_block_form(fact)
     np.testing.assert_allclose(
         fact.Lambda, symplectic_eigenvalues_oracle(M), rtol=1e-8
     )
@@ -204,7 +209,9 @@ def test_block_matches_full_williamson():
         lam_block = np.sort(block_williamson(A, B).Lambda)
         lam_full = np.sort(williamson(M).Lambda)
         np.testing.assert_allclose(lam_block, lam_full, rtol=1e-8)
-        assert_factorization(M, block_williamson(A, B))
+        fact = block_williamson(A, B)
+        assert_factorization(M, fact)
+        assert_block_form(fact)
 
 
 def test_block_rejects_non_pd():

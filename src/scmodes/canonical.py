@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CircuitHamiltonian, _real_numbers
+from .model import CircuitHamiltonian, _shaped
 
 INVERSE_RTOL = 1e-10
 
@@ -32,25 +32,19 @@ def _inverse_residual(W: np.ndarray, W_inv: np.ndarray) -> float:
 class CanonicalTransform:
     """An invertible flux-space matrix with its cached inverse.
 
-    Both must be square, of equal shape, with finite real-number entries
-    (strings, booleans and None are rejected, not converted), and
-    W W_inv must equal the identity to INVERSE_RTOL * n.
+    Both pass the Hamiltonian's array gate, raising SingularTransformError
+    (finite real numbers only; read-only copies are kept): W must be
+    square, W_inv of W's shape, and W W_inv the identity to INVERSE_RTOL * n.
     """
 
     W: np.ndarray
     W_inv: np.ndarray
 
     def __post_init__(self):
-        for name in ("W", "W_inv"):
-            if not _real_numbers(getattr(self, name)):
-                raise SingularTransformError(f"{name} has non-numeric entries")
-        W = np.asarray(self.W, dtype=float)
-        W_inv = np.asarray(self.W_inv, dtype=float)
-        if W.ndim != 2 or W.shape[0] != W.shape[1] or W.shape != W_inv.shape:
+        W = _shaped("W", self.W, (None, None), SingularTransformError)
+        if W.shape[0] != W.shape[1]:
             raise SingularTransformError("W and W_inv must be square matrices of equal shape")
-        for name, a in (("W", W), ("W_inv", W_inv)):
-            if not np.isfinite(a).all():
-                raise SingularTransformError(f"{name} has non-finite entries")
+        W_inv = _shaped("W_inv", self.W_inv, W.shape, SingularTransformError)
         residual = _inverse_residual(W, W_inv)
         if residual > INVERSE_RTOL * W.shape[0]:
             raise SingularTransformError(
@@ -65,7 +59,7 @@ class CanonicalTransform:
     @classmethod
     def from_matrix(cls, W) -> "CanonicalTransform":
         """Invert W once (LAPACK partial-pivot LU) and cache the result."""
-        W = np.asarray(W, dtype=float)
+        W = _shaped("W", W, (None, None), SingularTransformError)
         try:
             W_inv = np.linalg.inv(W)
         except np.linalg.LinAlgError as exc:
@@ -74,8 +68,7 @@ class CanonicalTransform:
 
     @classmethod
     def from_orthogonal(cls, Q) -> "CanonicalTransform":
-        Q = np.asarray(Q, dtype=float)
-        return cls(Q, Q.T.copy())
+        return cls(Q, np.transpose(Q))
 
     @classmethod
     def identity(cls, n: int) -> "CanonicalTransform":

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import canonical
 from .model import CircuitHamiltonian, InvalidHamiltonianError, require_valid
+from .symplectic import _signed_columns
 
 DEFAULT_THRESHOLD = 1e-8
 
@@ -35,10 +36,13 @@ class PivotError(ValueError):
 
 @dataclass(frozen=True)
 class FreeModeReport:
-    """Count and orthonormal flux-space basis of the free subspace."""
+    """Orthonormal flux-space basis of the free subspace, and its size F."""
 
-    F: int
     basis: np.ndarray  # (n, F), orthonormal columns
+
+    @property
+    def F(self) -> int:
+        return self.basis.shape[1]
 
 
 def _null_mask(rel: np.ndarray, threshold: float, name: str) -> np.ndarray:
@@ -96,13 +100,7 @@ def count_free_modes(
     _, s, Vt = np.linalg.svd(np.vstack([Z - Z_N @ (Z_N.T @ Z), Z[J]]))
     basis = Z @ Vt[_null_mask(s, threshold, "the free-subspace constraints")].T
     basis[J] = 0.0
-    F = basis.shape[1]
-    # Deterministic column signs.
-    picks = np.argmax(np.abs(basis), axis=0)
-    signs = np.sign(basis[picks, np.arange(F)])
-    signs[signs == 0] = 1.0
-    basis = basis * signs
-    return FreeModeReport(F=F, basis=basis)
+    return FreeModeReport(basis=_signed_columns(basis))
 
 
 def expose_free_modes(

@@ -52,24 +52,25 @@ def _real_numbers(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _shaped(name: str, value, shape: tuple) -> np.ndarray:
+def _shaped(name: str, value, shape: tuple, error=InvalidHamiltonianError) -> np.ndarray:
     """``value`` as a new finite float array, whose shape as given must match ``shape``.
 
-    A None entry of ``shape`` matches any length.  Nothing is reshaped, so
-    a transposed or flattened matrix is rejected rather than rebuilt.
-    Strings, booleans and None are rejected rather than converted, entry
-    by entry, since a list mixing them with numbers still converts to a
-    float array; a float or integer array needs no such walk.
+    The one array gate, of Hamiltonians and transforms alike; it raises
+    ``error``.  A None entry of ``shape`` matches any length.  Nothing is
+    reshaped, so a transposed or flattened matrix is rejected rather than
+    rebuilt.  Strings, booleans and None are rejected rather than
+    converted, entry by entry, since a list mixing them with numbers still
+    converts to a float array; a float or integer array needs no such walk.
     """
     if not _real_numbers(value):
-        raise InvalidHamiltonianError(f"{name} has non-numeric entries")
+        raise error(f"{name} has non-numeric entries")
     a = np.array(value, dtype=float)
     if a.ndim != len(shape) or any(s not in (None, d) for s, d in zip(shape, a.shape)):
         expected = ", ".join("any" if s is None else str(s) for s in shape)
         expected += "," if len(shape) == 1 else ""
-        raise InvalidHamiltonianError(f"{name} has shape {a.shape}, expected ({expected})")
+        raise error(f"{name} has shape {a.shape}, expected ({expected})")
     if not np.isfinite(a).all():
-        raise InvalidHamiltonianError(f"{name} has non-finite entries")
+        raise error(f"{name} has non-finite entries")
     return a
 
 

@@ -22,6 +22,7 @@ matrix per mode.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +47,8 @@ COUPLING_DROP_RTOL = 1e-12
 DENSE_LIMIT = 4096
 
 SOLVE_TOL = 1e-9  # default eigensolver tolerance
+
+ADAPTIVE_EPSILON = 1e-17  # default population threshold of adaptive_cutoffs
 
 # An eigenpair whose residual ||H v - E v|| exceeds this many solver
 # tolerances (at least machine epsilon), times max(1, |E|), is rejected.
@@ -81,6 +84,12 @@ class EigensolverConvergenceError(RuntimeError):
 
 class CutoffLimitError(RuntimeError):
     """Adaptive cutoff search hit d_max on some mode, or ran out of rounds."""
+
+
+def _check_cutoff(mode: int, d, available: int) -> None:
+    """The one cutoff rule: an integer d (not a bool) of retained states in [1, available]."""
+    if isinstance(d, bool) or not isinstance(d, numbers.Integral) or not 1 <= d <= available:
+        raise ValueError(f"mode {mode}: cutoff {d!r} must be an integer in [1, {available}]")
 
 
 @dataclass(frozen=True)
@@ -121,9 +130,6 @@ class LocalMode:
     exp(-i*a*phi) is its conjugate transpose.  ``phi_op`` is None exactly
     for charge-basis modes, whose compact phase has no flux operator, so it
     also records the basis kind.
-    ``real_basis`` records whether P is real (false only for a harmonic
-    mode with a voltage drive); the assembler does not read it (it
-    inspects the matrices), but the flop model of ``bench/layers.py`` does.
     """
 
     mode_index: int
@@ -131,11 +137,16 @@ class LocalMode:
     phi_op: np.ndarray | None
     n_op: np.ndarray
     phase_factors: dict[float, np.ndarray] = field(default_factory=dict)
-    real_basis: bool = True
 
     @property
     def dim(self) -> int:
         return self.energies.shape[0]
+
+    @property
+    def real_basis(self) -> bool:
+        """Whether the retained eigenvectors P are real, as phi_op = P^H phi P is
+        (a charge mode's P always is); read by the flop model of ``bench/layers.py``."""
+        return self.phi_op is None or np.isrealobj(self.phi_op)
 
     def phase_factor(self, a: float) -> np.ndarray:
         """exp(i*a*phi) for a key ``a`` exactly as :func:`split_cosine_row` gave it."""
@@ -147,15 +158,13 @@ class LocalMode:
 
     def truncated(self, d: int) -> "LocalMode":
         """The same mode restricted to its lowest d retained states."""
-        if d > self.dim:
-            raise ValueError(f"cannot truncate to {d} states, only {self.dim} retained")
+        _check_cutoff(self.mode_index, d, self.dim)
         return LocalMode(
             mode_index=self.mode_index,
             energies=self.energies[:d],
             phi_op=None if self.phi_op is None else self.phi_op[:d, :d],
             n_op=self.n_op[:d, :d],
             phase_factors={a: m[:d, :d] for a, m in self.phase_factors.items()},
-            real_basis=self.real_basis,
         )
 
 
@@ -178,8 +187,9 @@ def build_local_mode(
     -max(40, 2*keep) .. max(40, 2*keep).  ``primitive_dim`` overrides the
     size: that many oscillator states, or charges +-(primitive_dim - 1)//2.
     Phase factors exp(i*a*phi) are prepared for every local cosine
-    coefficient.  A charge-basis mode takes no linear flux term and only
-    nonzero integer cosine coefficients (:class:`BasisMismatchError`).
+    coefficient.  ``keep`` must be an integer in [1, dim] (``ValueError``).  A
+    charge-basis mode takes no linear flux term and only nonzero integer
+    cosine coefficients (:class:`BasisMismatchError`).
     """
     c_ii, m_ii = float(H.C_inv[mode, mode]), float(H.M0[mode, mode])
     harmonic = m_ii > 1e-10 * max(1.0, np.abs(H.M0).max())
@@ -191,8 +201,7 @@ def build_local_mode(
         else:
             max_charge = max(1, (primitive_dim - 1) // 2)
         dim = 2 * max_charge + 1
-    if keep > dim:
-        raise ValueError(f"keep = {keep} exceeds primitive dimension {dim}")
+    _check_cutoff(mode, keep, dim)
     flux_lin = float((H.N @ H.Phi_x)[mode]) if H.Phi_x.size else 0.0
     drive = float((H.C_inv @ (H.C_V @ H.V))[mode]) if H.V.size else 0.0
     cos_terms = []
@@ -244,7 +253,6 @@ def build_local_mode(
         phi_op=None if phi is None else project(phi),
         n_op=project(n),
         phase_factors={a: project(exp(a)) for a in sorted({a for _, _, a in cos_terms})},
-        real_basis=np.isrealobj(P),
     )
 
 
@@ -549,7 +557,6 @@ def solve(H: CircuitHamiltonian, cutoffs, k: int = 10, tol: float = SOLVE_TOL) -
     A warm-started solve is ``eigensolve(op, k, start=embed(...))``.
     """
     require_valid(H)
-    cutoffs = [int(d) for d in cutoffs]
     if len(cutoffs) != H.n:
         raise ValueError(f"{len(cutoffs)} cutoffs given for {H.n} modes")
     return _warm_solver(H, make_locals_builder(H), tol)(cutoffs, k)
@@ -591,21 +598,23 @@ def reduced_density_matrix(result: SpectrumResult, state: int, mode: int) -> np.
 
 def adaptive_cutoffs(
     H: CircuitHamiltonian,
-    epsilon: float = 1e-17,
+    epsilon: float = ADAPTIVE_EPSILON,
     d_init: int = 8,
     d_max: int = 64,
     max_rounds: int = 10,
 ) -> tuple[int, ...]:
     """Per-mode cutoffs d_k with ground-state populations below epsilon past d_k.
 
-    Working dimensions start at d_init; a mode whose population has not
-    decayed below epsilon by its last retained state is doubled (capped at
-    d_max, beyond which the offending mode raises), otherwise it moves to
-    one state past its target, the minimal d with all populations at
-    indices >= d below epsilon, so that the criterion stays observable.
-    The rounds stop when one leaves every working dimension unchanged,
-    and the targets, those dimensions minus one, are returned;
-    ``max_rounds`` without such a round raises :class:`CutoffLimitError`.
+    Working dimensions start at min(d_init, d_max), both integers of at
+    least 1 like every cutoff (else ``ValueError``, before any product-size
+    array).  A mode whose population has not decayed below epsilon by its
+    last retained state is doubled (capped at d_max, beyond which the
+    offending mode raises), otherwise it moves to one state past its
+    target, the minimal d with all populations at indices >= d below
+    epsilon, so that the criterion stays observable.  The rounds stop when
+    one leaves every working dimension unchanged, and the targets, those
+    dimensions minus one, are returned; ``max_rounds`` without such a
+    round raises :class:`CutoffLimitError`.
 
     Each round solves to SOLVE_TOL, as :func:`spectrum_vs_cutoff` does,
     and each after the first starts ARPACK from the previous round's
@@ -650,7 +659,7 @@ def spectrum_vs_cutoff(H: CircuitHamiltonian, k: int, d_values) -> list[tuple[in
     the previous point's k eigenvectors, embedded in the new cutoffs.
     """
     require_valid(H)
-    d_values = [int(d) for d in d_values]
+    d_values = list(d_values)
     build = make_locals_builder(H)
     if d_values:
         for m in range(H.n):

@@ -47,6 +47,14 @@ def symplectic_residual(S: np.ndarray) -> float:
     return float(np.abs(S.T @ O @ S - O).max())
 
 
+def _signed_columns(a: np.ndarray) -> np.ndarray:
+    """``a`` with each column signed so that its largest-magnitude entry is positive."""
+    picks = np.argmax(np.abs(a), axis=0)
+    signs = np.sign(a[picks, np.arange(a.shape[1])])
+    signs[signs == 0] = 1.0
+    return a * signs
+
+
 def _eigh_power(M: np.ndarray, power: float, name: str) -> np.ndarray:
     """M^power via symmetric eigendecomposition; requires M positive definite."""
     w, V = np.linalg.eigh(M)
@@ -142,12 +150,7 @@ def block_williamson(A: np.ndarray, B: np.ndarray) -> SymplecticFactorization:
     # ascending Lambda = 1/sqrt(lam) means descending lam
     order = np.argsort(lam)[::-1]
     lam = lam[order]
-    w = w[:, order]
-    # Deterministic column signs: largest-magnitude entry of each w_k positive.
-    picks = np.argmax(np.abs(w), axis=0)
-    signs = np.sign(w[picks, np.arange(w.shape[1])])
-    signs[signs == 0] = 1.0
-    w = w * signs
+    w = _signed_columns(w[:, order])
 
     D = np.sqrt(lam)  # positive eigenvalues of i M^-1/2 Omega M^-1/2
     O1 = -(Am12 @ Bm12 @ w) / np.sqrt(lam)  # columns i*w'_k (real)

@@ -9,16 +9,18 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import contextlib
 import decimal
 import json
 import pathlib
+from io import StringIO
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.special
 
-from scmodes import canonical, io, spectrum
+from scmodes import canonical, cli, io, spectrum
 from scmodes.canonical import CanonicalTransform
 from scmodes.decouple import jacobi_pair_angle
 from scmodes.model import CircuitHamiltonian, ModeKind
@@ -28,6 +30,27 @@ DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 CPB_PATH = DATA_DIR / "cooper_pair_box.json"
 FLUXONIUM_PATH = DATA_DIR / "coupled_fluxonium.json"
+
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+def reference_commands():
+    """(name, argv template) for each command line of ``golden/commands.txt``."""
+    lines = (GOLDEN_DIR / "commands.txt").read_text().splitlines()
+    return [tuple(line.split(maxsplit=1)) for line in lines if line and not line.startswith("#")]
+
+
+def run_reference(template, out_dir):
+    """Run one reference command in-process: (exit code, stdout, stderr).
+
+    ``{F}`` and ``{C}`` in the template name the bundled circuits, and
+    ``{out}`` the directory ``out_dir`` that receives written files.
+    """
+    argv = template.format(F=FLUXONIUM_PATH, C=CPB_PATH, out=out_dir).split()
+    out, err = StringIO(), StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 # The paper's symplectic eigenvalues for the two-fluxonium example, as printed.

@@ -73,6 +73,53 @@ def test_transform_entries_must_be_finite_numbers(entry, inverse, message):
         CanonicalTransform(np.array([[entry]], dtype=object), np.array([[inverse]]))
 
 
+@pytest.mark.parametrize(
+    "make,entry",
+    [
+        (CanonicalTransform.from_matrix, "2"),
+        (CanonicalTransform.from_matrix, True),
+        (CanonicalTransform.from_orthogonal, True),
+        (CanonicalTransform.from_orthogonal, "1"),
+    ],
+    ids=["matrix-string", "matrix-boolean", "orthogonal-boolean", "orthogonal-string"],
+)
+def test_transform_constructors_pass_the_entry_gate(make, entry):
+    # each converts to a float matrix if it skips the gate
+    with pytest.raises(SingularTransformError, match="^W has non-numeric entries$"):
+        make([[entry]])
+
+
+def test_transform_shapes_use_the_array_gate():
+    wrong_inverse = r"^W_inv has shape \(3, 3\), expected \(2, 2\)$"
+    with pytest.raises(SingularTransformError, match=wrong_inverse):
+        CanonicalTransform(np.eye(2), np.eye(3))
+    vector = r"^W has shape \(2,\), expected \(any, any\)$"
+    with pytest.raises(SingularTransformError, match=vector):
+        CanonicalTransform(np.ones(2), np.ones(2))
+    with pytest.raises(SingularTransformError, match="square"):
+        CanonicalTransform(np.ones((2, 3)), np.ones((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda W, W_inv: CanonicalTransform(W, W_inv),
+        lambda W, W_inv: CanonicalTransform.from_matrix(W),
+        lambda W, W_inv: CanonicalTransform.from_orthogonal(W),
+    ],
+    ids=["constructor", "from_matrix", "from_orthogonal"],
+)
+def test_transform_copies_the_callers_arrays(make):
+    W = random_orthogonal(np.random.default_rng(3), 3)
+    W_inv = W.T.copy()
+    T = make(W, W_inv)
+    for a in (W, W_inv):
+        assert a.flags.writeable
+        assert a is not T.W and a is not T.W_inv
+        assert not np.shares_memory(a, T.W) and not np.shares_memory(a, T.W_inv)
+    assert not T.W.flags.writeable and not T.W_inv.flags.writeable
+
+
 def test_identity_apply_is_exact(fluxonium):
     H2 = apply(fluxonium, CanonicalTransform.identity(5))
     np.testing.assert_array_equal(H2.C_inv, fluxonium.C_inv)

@@ -1,5 +1,6 @@
 """Command-line interface: file round trips, golden outputs, error paths."""
 
+import argparse
 import dataclasses
 import json
 
@@ -7,11 +8,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scmodes import canonical, cli, io
+from scmodes import canonical, cli, decouple, freemode, io, spectrum
 from scmodes.cli import main
 from scmodes.model import CircuitHamiltonian, ModeKind
 
-from conftest import CPB_PATH, FLUXONIUM_PATH, random_orthogonal, random_spd
+from conftest import (
+    CPB_PATH,
+    FLUXONIUM_PATH,
+    GOLDEN_DIR,
+    random_orthogonal,
+    random_spd,
+    reference_commands,
+    run_reference,
+)
 
 
 def run(capsys, *argv):
@@ -336,6 +345,125 @@ def test_bad_cutoff_flag(tmp_path, capsys):
     )
     assert code == 1
     assert "cutoff" in err
+
+
+@pytest.mark.parametrize("text", ["3.7", ","])
+def test_cutoff_text_must_list_integers(tmp_path, capsys, text):
+    toy = write_toy(tmp_path)
+    code, out, err = run(capsys, "converge", "--input", str(toy), "--cutoff", text)
+    assert (code, out) == (1, "")
+    assert err == (f"error: bad --cutoff {text!r}: expected an integer "
+                   "or a comma-separated integer list\n")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["spectrum", "--cutoff", "0"], "mode 0: cutoff 0 must be an integer in [1, 200]"),
+        (["spectrum", "--cutoff", "3,3"], "2 cutoffs given for 5 modes"),
+        (["rdm", "--cutoff", "4,4,4,4,-1"], "mode 4: cutoff -1 must be an integer in [1, 200]"),
+        (["converge", "--cutoff", "-1"], "mode 0: cutoff -1 must be an integer in [1, 200]"),
+    ],
+    ids=["spectrum-zero", "spectrum-too-few", "rdm-negative", "converge-negative"],
+)
+def test_cutoffs_are_judged_by_the_library(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--input", str(FLUXONIUM_PATH))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def command_options(command):
+    """The argparse actions of one subcommand, by destination."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[command]._actions}
+
+
+def test_parser_reads_library_defaults():
+    methods = [m.value for m in decouple.DecoupleMethod]
+    for command in ("inspect", "remove-free", "spectrum", "converge", "rdm", "adaptive-cutoffs"):
+        assert command_options(command)["threshold"].default == freemode.DEFAULT_THRESHOLD
+    for command in ("spectrum", "rdm", "adaptive-cutoffs"):
+        assert command_options(command)["epsilon"].default == spectrum.ADAPTIVE_EPSILON
+        assert command_options(command)["method"].choices == ["none", *methods]
+    assert command_options("converge")["method"].choices == ["none", *methods]
+    assert command_options("decouple")["method"].choices == methods
+    assert cli._ERRORS == (ValueError, RuntimeError)
+
+
+# ---------------------------------------------------------------------------
+# reference outputs
+# ---------------------------------------------------------------------------
+
+
+def split_numbers(text):
+    """``text`` with every comma-separated field that parses as a float
+    replaced by ``#``, and those numbers gathered by field index."""
+    lines, columns = [], {}
+    for line in text.split("\n"):
+        fields = line.split(",")
+        for j, field in enumerate(fields):
+            try:
+                columns.setdefault(j, []).append(float(field))
+            except ValueError:
+                continue
+            fields[j] = "#"
+        lines.append(",".join(fields))
+    return "\n".join(lines), columns
+
+
+def assert_numbers_close(got, want, where):
+    """rtol 1e-9, with an absolute floor of 1e-12 times the largest magnitude."""
+    want = np.asarray(want, dtype=float)
+    floor = 1e-12 * np.abs(want).max() if want.size else 0.0
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=floor, err_msg=where)
+
+
+def assert_text_close(got, want, where):
+    """Text, row count and field layout exact; numbers close, column by column."""
+    got_text, got_columns = split_numbers(got)
+    want_text, want_columns = split_numbers(want)
+    assert got_text == want_text, where
+    for j, column in want_columns.items():
+        assert_numbers_close(got_columns[j], column, f"{where}, column {j}")
+
+
+def assert_json_close(got, want, where):
+    """Keys, strings and shapes exact; each numeric array close to its own scale."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), where
+        for key in want:
+            assert_json_close(got[key], want[key], f"{where}.{key}")
+        return
+    if isinstance(want, str):
+        assert got == want, where
+        return
+    try:
+        expected = np.array(want, dtype=float)
+    except (TypeError, ValueError):  # a list of strings or of records
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_json_close(g, w, f"{where}[{i}]")
+        return
+    assert np.shape(got) == expected.shape, where
+    assert_numbers_close(got, expected, where)
+
+
+@pytest.mark.parametrize("name,template", reference_commands(),
+                         ids=[name for name, _ in reference_commands()])
+def test_reference_outputs(tmp_path, name, template):
+    """The reference commands reproduce the outputs stored in ``tests/golden``.
+
+    ``tests/golden/regenerate.py`` rewrites them when an output is meant to change.
+    """
+    want = GOLDEN_DIR / name
+    code, out, err = run_reference(template, tmp_path)
+    assert code == int((want / "exit_code.txt").read_text())
+    assert_text_close(out, (want / "stdout.txt").read_text(), "stdout")
+    assert_text_close(err, (want / "stderr.txt").read_text(), "stderr")
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(p.name for p in (want / "files").glob("*"))
+    for file_name in written:
+        got = json.loads((tmp_path / file_name).read_text())
+        assert_json_close(got, json.loads((want / "files" / file_name).read_text()), file_name)
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,68 @@ def test_default_primitive_size(m, keep, primitive_dim):
     assert_same_local_mode(default, build_local_mode(H, 0, primitive_dim=primitive_dim, keep=keep))
 
 
+@pytest.mark.parametrize("m,V,real", [(0.5, 0.0, True), (0.5, 0.3, False), (0.0, 0.3, True)],
+                         ids=["harmonic", "driven-harmonic", "driven-charge"])
+def test_real_basis_is_whether_the_eigenvectors_are_real(m, V, real):
+    # a drive makes a harmonic mode's primitive Hamiltonian complex, not a charge mode's
+    loc = build_local_mode(junction_mode(1.0, m, 2.0, 1.0, V=V), 0, keep=4)
+    assert loc.real_basis == real and loc.truncated(2).real_basis == real
+
+
+CUTOFF_RULE = r"^mode {}: cutoff {} must be an integer in \[1, {}\]$"
+
+
+@pytest.mark.parametrize(
+    "cutoffs,mode,value",
+    [
+        ([-1, 3, 3, 3, 3], 0, "-1"),
+        ([0, 4, 4, 4, 4], 0, "0"),
+        ([3, 3, 3, 3, 3.7], 4, "3.7"),
+        ([True, 3, 3, 3, 3], 0, "True"),
+    ],
+    ids=["negative", "zero", "fractional", "boolean"],
+)
+def test_solve_rejects_cutoffs_outside_the_rule(fluxonium, cutoffs, mode, value):
+    # unchecked, -1 slices from the end of the local eigenbasis, int() cuts
+    # 3.7 to 3 and True counts as 1
+    with pytest.raises(ValueError, match=CUTOFF_RULE.format(mode, value, 200)):
+        scmodes.solve(fluxonium, cutoffs, k=1)
+
+
+def test_cutoff_sweep_rejects_zero():
+    with pytest.raises(ValueError, match=CUTOFF_RULE.format(0, 0, 200)):
+        spectrum_vs_cutoff(coupled_pair(), 2, [0])
+
+
+@pytest.mark.parametrize("keep", [0, -1])
+def test_build_local_mode_rejects_keep_below_one(keep):
+    with pytest.raises(ValueError, match=CUTOFF_RULE.format(1, keep, 200)):
+        build_local_mode(coupled_pair(), 1, keep=keep)
+
+
+@pytest.mark.parametrize("d", [0, 5, 2.0, False])
+def test_truncated_rejects_cutoffs_outside_the_rule(d):
+    loc = build_local_mode(coupled_pair(), 1, keep=4)
+    with pytest.raises(ValueError, match=CUTOFF_RULE.format(1, d, 4)):
+        loc.truncated(d)
+
+
+@pytest.mark.parametrize(
+    "options,value",
+    [(dict(d_init=0), 0), (dict(d_init=-3), -3), (dict(d_max=0), 0)],
+    ids=["d_init-zero", "d_init-negative", "d_max-zero"],
+)
+def test_adaptive_rejects_starting_cutoffs_below_one(fluxonium, monkeypatch, options, value):
+    # unchecked, d_init=-3 reaches the assembler as a (194,)*5 product (2 TiB);
+    # the rule must reject it before any product-size array is made
+    def no_assembly(*args):
+        raise AssertionError("assembled an operator before rejecting the cutoff")
+
+    monkeypatch.setattr(spectrum, "assemble_hamiltonian", no_assembly)
+    with pytest.raises(ValueError, match=CUTOFF_RULE.format(0, value, 200)):
+        adaptive_cutoffs(fluxonium, **options)
+
+
 # ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------

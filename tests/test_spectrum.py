@@ -1,6 +1,9 @@
 """Local bases, operator assembly, eigensolving, reduced density matrices,
 and adaptive cutoffs."""
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -374,17 +377,32 @@ def charge_harmonic_pair():
     return H.replace(J_args=np.array([[1.0, 0.7]]))
 
 
+def oracle_hamiltonian(case, fluxonium, cpb):
+    if case == "fluxonium-fs":
+        return scmodes.full_symplectic(fluxonium).H_out
+    if case == "fluxonium-none":
+        return scmodes.remove_free_modes(fluxonium)[0]
+    if case == "cpb":
+        return scmodes.remove_free_modes(cpb)[0]
+    return charge_harmonic_pair()
+
+
 @pytest.mark.parametrize(
     "case,dims,dtype",
-    [("fluxonium-fs", [6, 6, 4, 3, 2], np.float64), ("charge-harmonic", [7, 8], np.complex128)],
-    ids=["fluxonium-fs", "charge-harmonic"],
+    [
+        ("fluxonium-fs", [6, 6, 4, 3, 2], np.float64),
+        ("charge-harmonic", [7, 8], np.complex128),
+        ("fluxonium-none", [3, 4, 2, 3, 2], np.float64),
+        ("cpb", [7, 8], np.complex128),
+    ],
+    ids=["fluxonium-fs", "charge-harmonic", "fluxonium-none", "cpb"],
 )
-def test_cosine_coupling_matches_dense_kron(fluxonium, case, dims, dtype):
-    # junction arguments spread over two modes exercise the phase-factor path
-    if case == "fluxonium-fs":
-        H = scmodes.full_symplectic(fluxonium).H_out
-    else:
-        H = charge_harmonic_pair()
+def test_cosine_coupling_matches_dense_kron(fluxonium, cpb, case, dims, dtype):
+    # junction arguments spread over two modes exercise the phase-factor
+    # path; the undecoupled fluxonium pair, the n-mode quadratic couplings;
+    # the reduced Cooper-pair box (charge x harmonic), an imaginary
+    # charge-coupling coefficient
+    H = oracle_hamiltonian(case, fluxonium, cpb)
     builder = make_locals_builder(H)
     locs = [builder(m, d) for m, d in enumerate(dims)]
     couplings = CouplingSet.from_hamiltonian(H)
@@ -402,6 +420,11 @@ def test_cosine_coupling_matches_dense_kron(fluxonium, case, dims, dtype):
         return out
 
     dense = sum(embed({m: mats[m]}) for m in range(len(locs)))
+    for i in range(len(locs)):
+        for j in range(i + 1, len(locs)):
+            dense = dense + H.C_inv[i, j] * embed({i: locs[i].n_op, j: locs[j].n_op})
+            if H.M0[i, j] != 0.0:
+                dense = dense + H.M0[i, j] * embed({i: locs[i].phi_op, j: locs[j].phi_op})
     for cc in couplings.cosines:
         pre = -cc.sign * cc.energy
         prod = embed({m: locs[m].phase_factor(a) for m, a in zip(cc.modes, cc.coeffs)})
@@ -416,12 +439,41 @@ def test_cosine_coupling_matches_dense_kron(fluxonium, case, dims, dtype):
     )
 
 
-@pytest.mark.parametrize("case", ["fluxonium-fs", "charge-harmonic"])
+def test_local_phases_rotate_the_quadratic_couplings(fluxonium):
+    # Retained eigenvectors may carry any phases (a drive makes them
+    # complex).  Rephasing modes 1 and 3 by diagonal unitaries D_m gives
+    # U^H H U with U = kron(D_m), from real and complex factors in one
+    # quadratic form.
+    H = scmodes.remove_free_modes(fluxonium)[0]
+    builder = make_locals_builder(H)
+    locs = [builder(m, d) for m, d in enumerate([3, 4, 2, 3, 2])]
+    couplings = CouplingSet.from_hamiltonian(H)
+    rng = np.random.default_rng(0)
+    phases = [
+        np.diag(np.exp(2j * np.pi * rng.random(loc.dim))) if m in (1, 3) else np.eye(loc.dim)
+        for m, loc in enumerate(locs)
+    ]
+    rephased = [
+        dataclasses.replace(loc, phi_op=D.conj().T @ loc.phi_op @ D, n_op=D.conj().T @ loc.n_op @ D)
+        for loc, D in zip(locs, phases)
+    ]
+    op = assemble_hamiltonian(rephased, H, couplings)
+    assert op.dtype == np.complex128
+    U = functools.reduce(np.kron, phases)
+    dense = U.conj().T @ assemble_hamiltonian(locs, H, couplings).to_dense() @ U
+    np.testing.assert_allclose(op.to_dense(), dense, rtol=0, atol=1e-12 * np.abs(dense).max())
+
+
+@pytest.mark.parametrize("case", ["fluxonium-fs", "charge-harmonic", "fluxonium-none"])
 def test_complex_block_is_applied_linearly(fluxonium, case):
     # A symmetric cosine term takes Re(X psi) only for real psi; a complex
-    # block must give the real and imaginary parts' images combined.
+    # block must give the real and imaginary parts' images combined.  The
+    # kernel views blocks as contiguous arrays, so a Fortran-ordered block
+    # and a strided column slice must give the same columns too.
     if case == "fluxonium-fs":
         op = assembled(scmodes.full_symplectic(fluxonium).H_out, [4, 3, 3, 2, 2])
+    elif case == "fluxonium-none":
+        op = assembled(scmodes.remove_free_modes(fluxonium)[0], [3, 4, 2, 3, 2])
     else:
         op = assembled(charge_harmonic_pair(), [6, 8])
     rng = np.random.default_rng(3)
@@ -431,6 +483,9 @@ def test_complex_block_is_applied_linearly(fluxonium, case):
         HZ, op.matmat(Z.real) + 1j * op.matmat(Z.imag), rtol=0, atol=1e-12)
     for c in range(Z.shape[1]):
         np.testing.assert_allclose(op.matvec(Z[:, c]), HZ[:, c], rtol=0, atol=1e-12)
+    for block in (np.asfortranarray(Z), np.asfortranarray(Z.real), Z[:, ::2], Z.real[:, 1:]):
+        columns = np.column_stack([op.matvec(block[:, c]) for c in range(block.shape[1])])
+        np.testing.assert_allclose(op.matmat(block), columns, rtol=0, atol=1e-12)
 
 
 def test_assembled_operator_is_hermitian(cpb, fluxonium):
@@ -445,6 +500,10 @@ def test_assembled_operator_is_hermitian(cpb, fluxonium):
     locs = [builder(m, 5) for m in range(5)]
     op = assemble_hamiltonian(locs, Hfs, CouplingSet.from_hamiltonian(Hfs))
     assert op.dtype == np.float64  # drive-free all-harmonic case stays real
+    assert hermiticity_residual(op) < 1e-8
+
+    op = assembled(scmodes.remove_free_modes(fluxonium)[0], [5] * 5)
+    assert op.dtype == np.float64  # each charge pair's phases i * i make its coefficient real
     assert hermiticity_residual(op) < 1e-8
 
 

@@ -2,12 +2,17 @@
 
 Each mode gets a primitive basis (harmonic oscillator or charge states),
 its local Hamiltonian is densely diagonalized there, and the lowest
-``keep`` eigenstates are retained.  The coupled Hamiltonian is assembled
-in the product of the retained bases as a sum of tensor products of
-local operators, applied matrix-free; small systems are materialized and
-solved densely, larger ones go through ARPACK.  A sequence of solves at
-growing or shrinking cutoffs (the adaptive search, a cutoff sweep) starts
-each ARPACK run from the previous solution, carried over by ``embed``.
+``keep`` eigenstates are retained.  A charge-basis mode without a drive
+is even under n -> -n and is diagonalized per parity sector, its odd
+states multiplied by i, so that its charge operator is i times a real
+matrix, as a harmonic mode's is, and it adds nothing complex to the
+operator; a driven charge mode takes one eigh of its whole primitive
+Hamiltonian.  The coupled Hamiltonian is assembled in the product of the
+retained bases as a sum of tensor products of local operators, applied
+matrix-free; small systems are materialized and solved densely, larger
+ones go through ARPACK.  A sequence of solves at growing or shrinking
+cutoffs (the adaptive search, a cutoff sweep) starts each ARPACK run from
+the previous solution, carried over by ``embed``.
 
 Couplings come in two kinds: quadratic charge/flux pairs from the
 off-diagonal entries of C_inv and M0, and residual cosine couplings
@@ -147,9 +152,12 @@ class LocalMode:
 
     @property
     def real_basis(self) -> bool:
-        """Whether the retained eigenvectors P are real, as phi_op = P^H phi P is
-        (a charge mode's P always is); read by the flop model of ``bench/layers.py``."""
-        return self.phi_op is None or np.isrealobj(self.phi_op)
+        """Whether the quadratic factors are real arrays once :func:`_phase_split`
+        takes their phase: phi_op real where present, n_op real or imaginary.
+        Read by the flop model of ``bench/layers.py``."""
+        return (self.phi_op is None or np.isrealobj(self.phi_op)) and np.isrealobj(
+            _phase_split(self.n_op)[1]
+        )
 
     def phase_factor(self, a: float) -> np.ndarray:
         """exp(i*a*phi) for a key ``a`` exactly as :func:`split_cosine_row` gave it."""
@@ -193,6 +201,15 @@ def build_local_mode(
     coefficient.  ``keep`` must be an integer in [1, dim] (``ValueError``).  A
     charge-basis mode takes no linear flux term and only nonzero integer
     cosine coefficients (:class:`BasisMismatchError`).
+
+    Without a drive, a charge-basis Hamiltonian is even under n -> -n
+    (integer cosine shifts are symmetric, and a linear flux term is
+    refused), and it is diagonalized in its two parity sectors with the
+    odd states multiplied by i (:func:`_parity_eigenbasis`): n_op is then i
+    times a real matrix, as on a harmonic mode, and each phase factor is
+    complex symmetric, so the mode adds nothing complex to the assembled
+    operator.  A charge mode with a nonzero drive, which is odd, takes one
+    eigh of the whole primitive Hamiltonian, as a harmonic mode does.
     """
     c_ii, m_ii = float(H.C_inv[mode, mode]), float(H.M0[mode, mode])
     harmonic = m_ii > 1e-10 * max(1.0, np.abs(H.M0).max())
@@ -247,9 +264,12 @@ def build_local_mode(
         H_prim -= sign * energy * cos(a)
     if drive != 0.0:
         H_prim = H_prim - drive * n
-    evals, evecs = np.linalg.eigh(H_prim)
-    P = evecs[:, :keep]
-    project = lambda X: P.conj().T @ X @ P  # noqa: E731
+    if harmonic or drive != 0.0:
+        evals, evecs = np.linalg.eigh(H_prim)
+        P = evecs[:, :keep]
+        project = lambda X: P.conj().T @ X @ P  # noqa: E731
+    else:
+        evals, project = _parity_eigenbasis(H_prim, keep)
     return LocalMode(
         mode_index=mode,
         energies=evals[:keep],
@@ -257,6 +277,46 @@ def build_local_mode(
         n_op=project(n),
         phase_factors={a: project(exp(a)) for a in sorted({a for _, _, a in cos_terms})},
     )
+
+
+def _parity_eigenbasis(H_prim: np.ndarray, keep: int):
+    """The lowest ``keep`` eigenpairs of a charge-basis H_prim even under n -> -n.
+
+    With charges -M .. M, the even sector is spanned by e_0 and
+    (e_m + e_-m)/sqrt(2), the odd one by i (e_m - e_-m)/sqrt(2), m = 1 .. M.
+    Each sector gets its own real eigh, half the size of H_prim, and the
+    two spectra are merged by a stable sort.  The sectors are split before
+    the eigh: one eigh of H_prim mixes the nearly degenerate +-m pairs at
+    high energy, and no phase fixed afterwards separates them again.
+
+    Returns the energies and X -> P^H X P for a real X, P the retained
+    states.  With P = Q diag(u), Q real and u 1 on even and i on odd
+    states, the part of X even under n -> -n couples states within a
+    sector and gets the factor 1, the odd part couples them across and
+    gets +-i, so each block is computed in real arithmetic.  The charge
+    operator, odd, comes out exactly i times a real matrix, and the
+    phase factors real within a sector and imaginary across.
+    """
+    dim = H_prim.shape[0]
+    half = dim // 2
+    eye = np.eye(dim)
+    bases = [(eye + eye[::-1])[:, half:], (eye - eye[::-1])[:, half + 1:]]
+    bases = [B / np.linalg.norm(B, axis=0) for B in bases]
+    sectors = [np.linalg.eigh(B.T @ H_prim @ B) for B in bases]
+    evals = np.concatenate([w for w, _ in sectors])
+    order = np.argsort(evals, kind="stable")[:keep]
+    Q = np.hstack([B @ V for B, (_, V) in zip(bases, sectors)])[:, order]
+    odd = (order > half).astype(float)
+    # conj(u_k) u_l is 1 within a sector and i * across[k, l] across
+    across = odd - odd[:, None]
+    within = across == 0
+
+    def project(X):
+        flipped = X[::-1, ::-1]  # R X R, R the reflection n -> -n
+        even, odd_part = Q.T @ (X + flipped) @ Q, Q.T @ (X - flipped) @ Q
+        return 0.5 * (within * even + 1j * (across * odd_part))
+
+    return evals[order], project
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,8 @@ import math
 import pathlib
 import sys
 
+import numpy as np
+
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
 
@@ -19,7 +21,7 @@ import layers  # noqa: E402
 import spans  # noqa: E402
 from scmodes import decouple, freemode, io, spectrum  # noqa: E402
 
-from conftest import FLUXONIUM_PATH  # noqa: E402
+from conftest import CPB_PATH, FLUXONIUM_PATH  # noqa: E402
 
 
 def declared_layer_figures():
@@ -63,3 +65,18 @@ def test_traced_pipeline_yields_every_layer_figure():
         "spectrum.kernel.diag_ms",
     ):
         assert figures[name] > 0, name
+
+
+def test_traced_charge_mode_yields_dense_figures():
+    # The reduced Cooper-pair box, solved densely: the flop model reads
+    # real_basis of its parity-adapted charge mode.
+    tracer, rec = spans.Tracer(), layers.Recorder()
+    with spans.patched(layers.instrument(tracer, rec)):
+        H_red, _, _ = freemode.remove_free_modes(io.load_hamiltonian(str(CPB_PATH)))
+        spectrum.spectrum_vs_cutoff(H_red, 4, [6, 8])
+    figures = layers.layer_metrics(tracer, rec)
+
+    locals_, _, _, op = rec.largest
+    assert op.dtype == np.float64 and all(loc.real_basis for loc in locals_)
+    for name in ("spectrum.matvec_flops", "spectrum.to_dense_s", "spectrum.dense_eigh_s"):
+        assert math.isfinite(figures[name]) and figures[name] > 0, name

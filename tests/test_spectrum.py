@@ -258,12 +258,39 @@ def test_default_primitive_size(m, keep, primitive_dim):
     assert_same_local_mode(default, build_local_mode(H, 0, primitive_dim=primitive_dim, keep=keep))
 
 
-@pytest.mark.parametrize("m,V,real", [(0.5, 0.0, True), (0.5, 0.3, False), (0.0, 0.3, True)],
-                         ids=["harmonic", "driven-harmonic", "driven-charge"])
-def test_real_basis_is_whether_the_eigenvectors_are_real(m, V, real):
-    # a drive makes a harmonic mode's primitive Hamiltonian complex, not a charge mode's
+@pytest.mark.parametrize(
+    "m,V,real",
+    [(0.5, 0.0, True), (0.5, 0.3, False), (0.0, 0.3, True), (0.0, 0.0, True)],
+    ids=["harmonic", "driven-harmonic", "driven-charge", "charge"],
+)
+def test_real_basis_is_whether_the_quadratic_factors_are_real(m, V, real):
+    # a drive makes a harmonic mode's primitive Hamiltonian complex, not a
+    # charge mode's; an undriven charge mode's n_op is i times a real matrix
     loc = build_local_mode(junction_mode(1.0, m, 2.0, 1.0, V=V), 0, keep=4)
     assert loc.real_basis == real and loc.truncated(2).real_basis == real
+
+
+def test_parity_basis_matches_one_eigh_of_the_primitive_hamiltonian():
+    # E_J small against C_inv: the +-m pairs above the lowest few are
+    # degenerate to machine precision, and one eigh of the whole primitive
+    # Hamiltonian returns them mixed
+    c, E_J, keep = 1.0, 0.1, 30
+    loc = build_local_mode(junction_mode(c, 0.0, E_J, 1.0), 0, keep=keep)
+    max_charge = max(40, 2 * keep)
+    charges = np.arange(-max_charge, max_charge + 1.0)
+    shift = np.eye(charges.size, k=-1)  # exp(i phi): |m> -> |m + 1>
+    levels, vectors = np.linalg.eigh(np.diag(0.5 * c * charges**2) - E_J * (shift + shift.T) / 2)
+    assert np.diff(levels[:keep]).min() < 1e-12
+    for d in (keep, 7):
+        part = loc.truncated(d)
+        np.testing.assert_allclose(part.energies, levels[:d], rtol=0, atol=1e-12)
+        assert not part.n_op.real.any()
+        for E in part.phase_factors.values():
+            np.testing.assert_allclose(E, E.T, rtol=0, atol=1e-15)
+    # the three lowest levels lie far apart, where the bases differ by phases alone
+    P = vectors[:, :3]
+    for X, Y in ((np.diag(charges), loc.n_op), (shift, loc.phase_factor(1.0))):
+        np.testing.assert_allclose(np.abs(Y[:3, :3]), np.abs(P.T @ X @ P), rtol=0, atol=1e-10)
 
 
 CUTOFF_RULE = r"^mode {}: cutoff {} must be an integer in \[1, {}\]$"
@@ -365,8 +392,11 @@ def test_two_mode_quadratic_matches_dense_kron():
 def charge_harmonic_pair():
     """Junction row [1.0, 0.7] over a charge-basis mode and a harmonic mode.
 
-    The charge mode's phase factor is not symmetric, so the coupled cosine
-    takes the product-plus-conjugate path and the operator is complex.
+    Undriven, the charge mode is parity-adapted, its phase factor complex
+    symmetric, and the operator real.  With an offset charge
+    (:func:`with_offset_charge`) the charge mode's phase factor is not
+    symmetric, so the coupled cosine takes the product-plus-conjugate path
+    and the operator is complex.
     """
     H = CircuitHamiltonian(
         kinds=[ModeKind.JUNCTION, ModeKind.INDUCTOR],
@@ -377,31 +407,55 @@ def charge_harmonic_pair():
     return H.replace(J_args=np.array([[1.0, 0.7]]))
 
 
+def with_offset_charge(H):
+    """A charge mode 0 and harmonic mode 1 with an offset charge on mode 0 alone.
+
+    C_V V is adj(C_inv) e_0 / 64, so C_inv C_V V is det(C_inv) / 64 on mode 0
+    and zero on mode 1.  C_inv is rounded to multiples of 2^-10 first, so
+    that every product is exact and the zero too: with the reduced box's
+    own entries a fused multiply-add leaves ~3e-18, which drives mode 1.
+    The driven charge mode keeps a real basis and a real n_op, so the charge
+    coupling is imaginary and a charge phase factor is not symmetric,
+    whatever phases LAPACK picks.
+    """
+    C_inv = np.round(H.C_inv * 1024) / 1024
+    (_, a), (_, b) = C_inv
+    out = H.replace(C_inv=C_inv, C_V=np.array([[b], [-a]]) / 64, V=np.array([1.0]))
+    drive = out.C_inv @ (out.C_V @ out.V)
+    assert drive[0] != 0.0 and drive[1] == 0.0
+    return out
+
+
 def oracle_hamiltonian(case, fluxonium, cpb):
     if case == "fluxonium-fs":
         return scmodes.full_symplectic(fluxonium).H_out
     if case == "fluxonium-none":
         return scmodes.remove_free_modes(fluxonium)[0]
-    if case == "cpb":
-        return scmodes.remove_free_modes(cpb)[0]
-    return charge_harmonic_pair()
+    H = scmodes.remove_free_modes(cpb)[0] if case.startswith("cpb") else charge_harmonic_pair()
+    return with_offset_charge(H) if case.endswith("-offset") else H
 
 
 @pytest.mark.parametrize(
     "case,dims,dtype",
     [
         ("fluxonium-fs", [6, 6, 4, 3, 2], np.float64),
-        ("charge-harmonic", [7, 8], np.complex128),
+        ("charge-harmonic", [7, 8], np.float64),
         ("fluxonium-none", [3, 4, 2, 3, 2], np.float64),
-        ("cpb", [7, 8], np.complex128),
+        ("cpb", [7, 8], np.float64),
+        ("cpb-offset", [7, 8], np.complex128),
+        ("charge-harmonic-offset", [7, 8], np.complex128),
     ],
-    ids=["fluxonium-fs", "charge-harmonic", "fluxonium-none", "cpb"],
+    ids=[
+        "fluxonium-fs", "charge-harmonic", "fluxonium-none", "cpb", "cpb-offset",
+        "charge-harmonic-offset",
+    ],
 )
 def test_cosine_coupling_matches_dense_kron(fluxonium, cpb, case, dims, dtype):
     # junction arguments spread over two modes exercise the phase-factor
     # path; the undecoupled fluxonium pair, the n-mode quadratic couplings;
-    # the reduced Cooper-pair box (charge x harmonic), an imaginary
-    # charge-coupling coefficient
+    # the reduced Cooper-pair box (charge x harmonic), a charge coupling
+    # whose phases i * i make it real; with an offset charge on the charge
+    # mode, an imaginary charge coefficient and an asymmetric phase factor
     H = oracle_hamiltonian(case, fluxonium, cpb)
     builder = make_locals_builder(H)
     locs = [builder(m, d) for m, d in enumerate(dims)]
@@ -464,7 +518,9 @@ def test_local_phases_rotate_the_quadratic_couplings(fluxonium):
     np.testing.assert_allclose(op.to_dense(), dense, rtol=0, atol=1e-12 * np.abs(dense).max())
 
 
-@pytest.mark.parametrize("case", ["fluxonium-fs", "charge-harmonic", "fluxonium-none"])
+@pytest.mark.parametrize(
+    "case", ["fluxonium-fs", "charge-harmonic", "fluxonium-none", "charge-harmonic-offset"]
+)
 def test_complex_block_is_applied_linearly(fluxonium, case):
     # A symmetric cosine term takes Re(X psi) only for real psi; a complex
     # block must give the real and imaginary parts' images combined.  The
@@ -474,8 +530,11 @@ def test_complex_block_is_applied_linearly(fluxonium, case):
         op = assembled(scmodes.full_symplectic(fluxonium).H_out, [4, 3, 3, 2, 2])
     elif case == "fluxonium-none":
         op = assembled(scmodes.remove_free_modes(fluxonium)[0], [3, 4, 2, 3, 2])
-    else:
+    elif case == "charge-harmonic":
         op = assembled(charge_harmonic_pair(), [6, 8])
+    else:
+        op = assembled(with_offset_charge(charge_harmonic_pair()), [6, 8])
+        assert op.dtype == np.complex128
     rng = np.random.default_rng(3)
     Z = rng.standard_normal((op.dim, 3)) + 1j * rng.standard_normal((op.dim, 3))
     HZ = op.matmat(Z)
@@ -505,6 +564,14 @@ def test_assembled_operator_is_hermitian(cpb, fluxonium):
     op = assembled(scmodes.remove_free_modes(fluxonium)[0], [5] * 5)
     assert op.dtype == np.float64  # each charge pair's phases i * i make its coefficient real
     assert hermiticity_residual(op) < 1e-8
+
+
+def test_undriven_cpb_is_real_at_every_cutoff(cpb):
+    H_red, _, _ = scmodes.remove_free_modes(cpb)
+    couplings = CouplingSet.from_hamiltonian(H_red)
+    for d in range(1, 41):
+        locs = [build_local_mode(H_red, m, keep=d) for m in range(2)]
+        assert assemble_hamiltonian(locs, H_red, couplings).dtype == np.float64, d
 
 
 def test_flux_coupling_to_charge_mode_rejected(cpb):
@@ -578,13 +645,14 @@ def assembled(H, dims):
 
 
 def small_operator(case, fluxonium, cpb):
-    """A dense-branch operator: real (fs fluxonium) or complex (the CPB's
-    imaginary charge coupling; the charge-harmonic pair's real-part cosine)."""
+    """A dense-branch operator: real (fs fluxonium, and the undriven CPB and
+    charge-harmonic pair, whose charge modes are parity-adapted) or complex
+    (with an offset charge, the CPB's imaginary charge coupling and the
+    charge-harmonic pair's asymmetric cosine factor)."""
     if case == "fs":
         return assembled(scmodes.full_symplectic(fluxonium).H_out, [4, 3, 3, 2, 2])
-    if case == "cpb":
-        return assembled(scmodes.remove_free_modes(cpb)[0], [8, 6])
-    return assembled(charge_harmonic_pair(), [6, 8])
+    dims = [8, 6] if case.startswith("cpb") else [6, 8]
+    return assembled(oracle_hamiltonian(case, fluxonium, cpb), dims)
 
 
 def projector(vectors):
@@ -593,8 +661,14 @@ def projector(vectors):
 
 @pytest.mark.parametrize(
     "case,dtype",
-    [("fs", np.float64), ("cpb", np.complex128), ("charge-harmonic", np.complex128)],
-    ids=["real-fs", "complex-cpb", "complex-charge-harmonic"],
+    [
+        ("fs", np.float64),
+        ("cpb", np.float64),
+        ("charge-harmonic", np.float64),
+        ("cpb-offset", np.complex128),
+        ("charge-harmonic-offset", np.complex128),
+    ],
+    ids=["real-fs", "real-cpb", "real-charge-harmonic", "complex-cpb", "complex-charge-harmonic"],
 )
 @pytest.mark.parametrize("k_from_dim", [lambda d: 3, lambda d: d - 1, lambda d: d],
                          ids=["k=3", "k=dim-1", "k=dim"])
@@ -626,7 +700,9 @@ def test_dense_branch_returns_both_degenerate_levels():
         projector(res.eigenvectors), projector(ref_vecs[:, :3]), atol=1e-8)
 
 
-@pytest.mark.parametrize("case", ["cpb", "charge-harmonic"])
+@pytest.mark.parametrize(
+    "case", ["cpb-offset", "charge-harmonic-offset"], ids=["cpb", "charge-harmonic"]
+)
 def test_to_dense_of_complex_operator_equals_complex_identity_product(fluxonium, cpb, case):
     op = small_operator(case, fluxonium, cpb)
     dense = op.to_dense()
@@ -635,7 +711,8 @@ def test_to_dense_of_complex_operator_equals_complex_identity_product(fluxonium,
 
 
 def test_to_dense_of_real_operator_is_real(fluxonium, cpb):
-    assert small_operator("fs", fluxonium, cpb).to_dense().dtype == np.float64
+    for case in ("fs", "cpb", "charge-harmonic"):
+        assert small_operator(case, fluxonium, cpb).to_dense().dtype == np.float64, case
 
 
 def test_eigensolve_rejects_large_residual(monkeypatch):
@@ -908,10 +985,12 @@ def test_fluxonium_ios_and_fs_pipelines_agree(fluxonium):
 
 
 def test_drive_keeps_operator_hermitian_and_shifts_levels_slightly(cpb):
-    # The undriven reduced CPB is already complex: its charge coupling
-    # coefficient is imaginary.  The drive makes the harmonic mode's
-    # eigenvectors complex; the operator's dtype then depends on the
-    # eigenvector phases LAPACK picks, so it is not asserted.
+    # The undriven reduced CPB is real: its charge mode is parity-adapted,
+    # so the charge coupling's phases i * i make its coefficient real.  The
+    # drive makes the harmonic mode's eigenvectors complex; the operator's
+    # dtype then depends on the eigenvector phases LAPACK picks, so it is
+    # not asserted (with_offset_charge gives a case that is complex for
+    # certain).
     H_red, _, _ = scmodes.remove_free_modes(cpb)
     H_drive = H_red.replace(V=np.array([0.003]))
     builder = make_locals_builder(H_drive)
@@ -921,7 +1000,7 @@ def test_drive_keeps_operator_hermitian_and_shifts_levels_slightly(cpb):
     assert hermiticity_residual(op) < 1e-8
     res = eigensolve(op, k=3)
     undriven = assembled(H_red, [6, 6])
-    assert undriven.dtype == np.complex128
+    assert undriven.dtype == np.float64
     ref = eigensolve(undriven, k=3)
     # a small drive shifts energies only slightly
     assert np.abs(res.eigenvalues - ref.eigenvalues).max() < 0.1

@@ -15,7 +15,7 @@ import sys
 
 from . import canonical, decouple, freemode, io, spectrum
 
-_ERRORS = (ValueError, RuntimeError)  # bad input, failed numerics
+_ERRORS = (ValueError, RuntimeError, OSError)  # bad input, failed numerics, unwritable output
 
 _METHODS = [m.value for m in decouple.DecoupleMethod]
 

@@ -37,14 +37,21 @@ class ParseError(ValueError):
     """Raised for malformed input files; carries file/line context."""
 
 
-def _read_json(path: str):
+def _read_json(path: str) -> dict:
+    """The JSON object a file holds; any other top level is a ParseError."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        found = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
+        raise ParseError(
+            f"{path}: top level is {found.get(type(data), 'a number')}, expected a JSON object"
+        )
+    return data
 
 
 def load_hamiltonian(path: str) -> CircuitHamiltonian:

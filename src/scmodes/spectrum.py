@@ -395,25 +395,9 @@ def _apply_factors(factors, psi: np.ndarray, scratch: _Scratch) -> np.ndarray:
     return w
 
 
-def _axpy(a: float, x: np.ndarray, y: np.ndarray) -> None:
+def _axpy(a: complex, x: np.ndarray, y: np.ndarray) -> None:
     """y += a * x in place, for C-contiguous x and y of one dtype."""
     scipy.linalg.get_blas_funcs("axpy", (y,))(x.reshape(-1), y.reshape(-1), a=a)
-
-
-def _add_unit(out: np.ndarray, unit: complex, w: np.ndarray) -> None:
-    """out += unit * w for a unit 1 or i, scaling the temporary w in place.
-
-    A real w times i goes into the imaginary part of out, so that no
-    full-size complex temporary is made.
-    """
-    if unit == 1:
-        out += w
-    elif np.isrealobj(w):
-        imag = out.imag
-        imag += w
-    else:
-        w *= unit
-        out += w
 
 
 def _phase_split(mat: np.ndarray) -> tuple[complex, np.ndarray]:
@@ -432,39 +416,39 @@ def _phase_split(mat: np.ndarray) -> tuple[complex, np.ndarray]:
 
 
 class _Term:
-    """unit * X, or unit * (X + X^H)/2 given ``adjoint``; X = prod_j mat_j on axis_j.
+    """coeff * X, or its Hermitian part (Y + Y^H)/2 with Y = coeff * X given
+    ``hermitian``; X = prod_j mat_j on axis_j, coeff a real or complex scalar.
 
-    Real coefficients are folded into the first factor, so ``unit`` is 1 or
-    i.  ``adjoint`` lists the conjugate transposes of ``factors``.  When
-    every factor is complex symmetric, X^H = conj(X), so on a real vector
-    the term is Re(X psi): one complex product instead of two.
+    The coefficient is folded into the first factor.  When every factor is
+    complex symmetric, Y^H = conj(Y), so on a real vector the Hermitian part
+    is Re(Y psi): one complex product instead of two.
     """
 
-    def __init__(self, factors, adjoint=None, symmetric=False, unit=1.0):
-        self.factors = factors
-        self.adjoint = adjoint
-        self.symmetric = symmetric
-        self.unit = unit
+    def __init__(self, factors, coeff=1.0, hermitian=False):
+        (m0, e0), *rest = factors
+        self.factors = ((m0, coeff * e0), *rest)
+        self.adjoint = tuple((m, e.conj().T) for m, e in self.factors) if hermitian else None
+        self.symmetric = hermitian and all(
+            np.abs(e - e.T).max() <= 1e-12 * max(1.0, np.abs(e).max()) for _, e in factors
+        )
 
     @property
     def is_real(self) -> bool:
-        return self.unit == 1 and (
-            self.symmetric or all(np.isrealobj(m) for _, m in self.factors)
-        )
+        return self.symmetric or all(np.isrealobj(m) for _, m in self.factors)
 
     def apply(self, psi: np.ndarray, out: np.ndarray, scratch: _Scratch) -> None:
         """out += the term applied to psi."""
         w = _apply_factors(self.factors, psi, scratch)
         if self.adjoint is None:
-            _add_unit(out, self.unit, w)
+            out += w
         elif self.symmetric and np.isrealobj(psi):
-            _add_unit(out, self.unit, w.real)
+            out += w.real
         else:
             v = _apply_factors(self.adjoint, psi, scratch)
             w += v
             scratch.give(v)
             w *= 0.5
-            _add_unit(out, self.unit, w)
+            out += w
         scratch.give(w)
 
 
@@ -478,10 +462,9 @@ class _QuadraticForm:
     single-axis products per matvec, here 16, and with the contiguous
     kernel a d = 9 matvec (59 049 dims, one BLAS thread) went from 12-17 ms
     to 2.5-3.1 ms, and d = 14 (537 824 dims) from 124-126 ms to 34-41 ms.
-    The phases of _phase_split are 1 or i, so each c_ij is real or
-    imaginary; ``rows`` holds (i, unit, ((j, c), ...)) with c real, one row
-    per mode and unit, so that a real product meets its unit only when it
-    is added into the output.  The factors share one dtype.
+    ``rows`` holds (i, ((j, c), ...)), one row per mode, with c_ij times the
+    phases of A_i and A_j: a real or complex scalar.  The factors share one
+    dtype, the result type of the factors and the coefficients.
     """
 
     def __init__(self, locals_: list[LocalMode], attr: str, pairs):
@@ -498,30 +481,28 @@ class _QuadraticForm:
                     )
                 if mode not in split:
                     split[mode] = _phase_split(op)
-            c = complex(coeff * split[i][0] * split[j][0])
-            unit, value = (1j, c.imag) if c.imag else (1.0, c.real)
-            by_row.setdefault((i, unit), []).append((j, value))
-        self._dtype = np.result_type(*(a for _, a in split.values()))
+            c = coeff * split[i][0] * split[j][0]
+            by_row.setdefault(i, []).append((j, c if c.imag else c.real))
+        self._dtype = np.result_type(
+            *(a for _, a in split.values()), *(c for row in by_row.values() for _, c in row)
+        )
         self.mats = {m: a.astype(self._dtype, copy=False) for m, (_, a) in split.items()}
-        rows = [(i, unit, row) for (i, unit), row in by_row.items()]
-        self._last = {j: r for r, (_, _, row) in enumerate(rows) for j, _ in row}
+        self._last = {j: r for r, row in enumerate(by_row.values()) for j, _ in row}
         # a row's last reads come first, so that its sum can take over a Y_j
         self.rows = tuple(
-            (i, unit, tuple(sorted(row, key=lambda p: self._last[p[0]] != r)))
-            for r, (i, unit, row) in enumerate(rows)
+            (i, tuple(sorted(row, key=lambda p: self._last[p[0]] != r)))
+            for r, (i, row) in enumerate(by_row.items())
         )
 
     @property
     def is_real(self) -> bool:
-        return all(unit == 1 for _, unit, _ in self.rows) and all(
-            np.isrealobj(m) for m in self.mats.values()
-        )
+        return self._dtype.kind == "f"
 
     def apply(self, psi: np.ndarray, out: np.ndarray, scratch: _Scratch) -> None:
         """out += the form applied to psi."""
         dtype = np.result_type(self._dtype, psi)
         ys = {}
-        for r, (i, unit, pairs) in enumerate(self.rows):
+        for r, (i, pairs) in enumerate(self.rows):
             s = None
             for j, c in pairs:
                 dies = self._last[j] == r
@@ -536,7 +517,7 @@ class _QuadraticForm:
                     if dies:
                         scratch.give(y)
             w = _apply_axis(self.mats[i], s, i, scratch.take(dtype))
-            _add_unit(out, unit, w)
+            out += w
             scratch.give(s, w)
 
 
@@ -606,25 +587,18 @@ def assemble_hamiltonian(
         if pairs
     ]
 
-    # pre * [(X + X^H)/2 - sum_j (e_j + e_j^H)/2] per cosine row, X = prod_j e_j
-    # with pre folded into e_1; the single-mode parts are summed into one
-    # matrix per mode.
+    # pre * [(X + X^H)/2 - sum_j (e_j + e_j^H)/2] per cosine row, X = prod_j e_j;
+    # the single-mode parts are summed into one matrix per mode.
     single = {}
     for cc in couplings.cosines:
         pre = -cc.sign * cc.energy
         factors = tuple((m, locals_[m].phase_factor(a)) for m, a in zip(cc.modes, cc.coeffs))
-        symmetric = all(
-            np.abs(e - e.T).max() <= 1e-12 * max(1.0, np.abs(e).max()) for _, e in factors
-        )
         for m, e in factors:
             single[m] = single.get(m, 0.0) - pre * (e + e.conj().T) / 2
-        (m0, e0), *rest = factors
-        factors = ((m0, pre * e0), *rest)
-        adjoint = tuple((m, e.conj().T) for m, e in factors)
-        terms.append(_Term(factors, adjoint, symmetric))
+        terms.append(_Term(factors, pre, hermitian=True))
     for m in sorted(single):
         phase, mat = _phase_split(single[m])
-        terms.append(_Term(((m, mat),), unit=phase))
+        terms.append(_Term(((m, mat),), phase))
 
     dtype = np.float64 if all(t.is_real for t in terms) else np.complex128
     return ProductOperator(dims, diag, terms, dtype)

@@ -125,6 +125,8 @@ def test_identity_apply_is_exact(fluxonium):
     np.testing.assert_array_equal(H2.C_inv, fluxonium.C_inv)
     np.testing.assert_array_equal(H2.M0, fluxonium.M0)
     np.testing.assert_array_equal(H2.J_args, fluxonium.J_args)
+    with pytest.raises(SingularTransformError, match=r"^transform is 4x4, Hamiltonian has n=5$"):
+        apply(fluxonium, CanonicalTransform.identity(4))
 
 
 def test_inductor_symplectic_w_gives_diagonal_block(fluxonium):

@@ -129,6 +129,13 @@ def test_remove_free_noop(tmp_path, capsys):
     np.testing.assert_array_equal(H_in.C_inv, H_out.C_inv)
     T = io.load_transform(str(tmp_path / "same.transform.json"))
     np.testing.assert_array_equal(T.W, np.eye(5))
+    # an output without the .json suffix gets the transform's suffix appended
+    code, _, _ = run(
+        capsys, "remove-free", "--input", str(FLUXONIUM_PATH), "--output", str(tmp_path / "bare")
+    )
+    assert code == 0
+    T = io.load_transform(str(tmp_path / "bare.transform.json"))
+    np.testing.assert_array_equal(T.W, np.eye(5))
 
 
 def test_remove_free_every_mode_free(tmp_path, capsys):
@@ -327,6 +334,57 @@ def test_bad_k_or_epsilon_rejected_before_loading(capsys, monkeypatch, argv, mes
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["inspect", "--input", "{array}"],
+         "{array}: top level is an array, expected a JSON object"),
+        (["inspect", "--input", "{null}"], "{null}: top level is null, expected a JSON object"),
+        (["inspect", "--input", "{text}"],
+         "{text}: top level is a string, expected a JSON object"),
+        (["inspect", "--input", "{absent}"], "{absent}: No such file or directory"),
+        (["inspect", "--input", "{no_C_inv}"], "{no_C_inv}: missing required field 'C_inv'"),
+        (["spectrum", "--input", "{array}", "--cutoff", "2"],
+         "{array}: top level is an array, expected a JSON object"),
+        (["spectrum", "--input", "{toy}", "--cutoff", "4", "--k", "2", "--output", "{lost}"],
+         "{missing}"),
+        (["converge", "--input", "{toy}", "--cutoff", "4", "--k", "2", "--output", "{lost}"],
+         "{missing}"),
+        (["rdm", "--input", "{toy}", "--cutoff", "2", "--output", "{lost}"], "{missing}"),
+        (["adaptive-cutoffs", "--input", "{toy}", "--epsilon", "0.5", "--output", "{lost}"],
+         "{missing}"),
+        (["remove-free", "--input", "{toy}", "--output", "{lost}"], "{missing}"),
+        (["decouple", "--input", "{toy}", "--method", "fs", "--output", "{lost}"], "{missing}"),
+    ],
+    ids=["inspect-array", "inspect-null", "inspect-string", "inspect-absent",
+         "inspect-no-C_inv", "spectrum-array",
+         "spectrum-output", "converge-output", "rdm-output", "adaptive-cutoffs-output",
+         "remove-free-output", "decouple-output"],
+)
+def test_failures_end_in_one_error_line(tmp_path, capsys, argv, message):
+    # An unreadable input, a top level that is not an object, or an
+    # --output in a missing directory is reported like any bad input: one
+    # line naming the file, no traceback, exit code 1.
+    paths = {
+        "toy": str(write_toy(tmp_path)),
+        "absent": str(tmp_path / "absent.json"),
+        "lost": str(tmp_path / "missing" / "x.csv"),
+    }
+    files = {
+        "array": [1, 2],
+        "null": None,
+        "text": "text",
+        "no_C_inv": {"mode_kinds": ["inductor"], "M0": [[1.0]]},
+    }
+    for name, value in files.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(value))
+    paths["missing"] = f"[Errno 2] No such file or directory: {paths['lost']!r}"
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert (code, out, err) == (1, "", f"error: {message.format(**paths)}\n")
+    assert "Traceback" not in err
+
+
 def test_adaptive_cutoffs_csv(tmp_path, capsys):
     toy = write_toy(tmp_path)
     code, out, _ = run(
@@ -386,7 +444,7 @@ def test_parser_reads_library_defaults():
         assert command_options(command)["method"].choices == ["none", *methods]
     assert command_options("converge")["method"].choices == ["none", *methods]
     assert command_options("decouple")["method"].choices == methods
-    assert cli._ERRORS == (ValueError, RuntimeError)
+    assert cli._ERRORS == (ValueError, RuntimeError, OSError)
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +638,7 @@ def test_hamiltonian_file_counts_must_be_integers(key, value, message):
         ({"W": [[1.0]], "W_inv": [[None]]}, "t.transform.json: W_inv has non-numeric entries"),
         ({"W": [[float("nan")]], "W_inv": [[1.0]]}, "t.transform.json: W has non-finite entries"),
         ({"W": [[float("inf")]], "W_inv": [[0.0]]}, "t.transform.json: W has non-finite entries"),
+        ([1, 2], "t.transform.json: top level is an array, expected a JSON object$"),
     ],
 )
 def test_malformed_transform_file(tmp_path, data, message):

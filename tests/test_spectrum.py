@@ -387,6 +387,8 @@ def test_two_mode_quadratic_matches_dense_kron():
     np.testing.assert_allclose(
         np.linalg.eigvalsh(dense), np.linalg.eigvalsh(op.to_dense()), atol=1e-10
     )
+    with pytest.raises(ValueError, match="ordered by mode index"):
+        assemble_hamiltonian(locs[::-1], H, CouplingSet.from_hamiltonian(H))
 
 
 def charge_harmonic_pair():
@@ -407,23 +409,49 @@ def charge_harmonic_pair():
     return H.replace(J_args=np.array([[1.0, 0.7]]))
 
 
-def with_offset_charge(H):
-    """A charge mode 0 and harmonic mode 1 with an offset charge on mode 0 alone.
+def with_offset_charge(H, mode=0):
+    """H of two or three modes with an offset charge on charge mode ``mode`` alone.
 
-    C_V V is adj(C_inv) e_0 / 64, so C_inv C_V V is det(C_inv) / 64 on mode 0
-    and zero on mode 1.  C_inv is rounded to multiples of 2^-10 first, so
-    that every product is exact and the zero too: with the reduced box's
-    own entries a fused multiply-add leaves ~3e-18, which drives mode 1.
-    The driven charge mode keeps a real basis and a real n_op, so the charge
-    coupling is imaginary and a charge phase factor is not symmetric,
-    whatever phases LAPACK picks.
+    C_V V is adj(C_inv) e_mode / 64, so C_inv C_V V is det(C_inv) / 64 on
+    that mode and zero on the others.  C_inv is rounded to multiples of
+    2^-10 first, so that every product is exact and the zeros too: with the
+    reduced box's own entries a fused multiply-add leaves ~3e-18, which
+    drives the harmonic mode.  The driven charge mode keeps a real basis
+    and a real n_op, so its charge couplings to harmonic modes are
+    imaginary and a charge phase factor is not symmetric, whatever phases
+    LAPACK picks.
     """
     C_inv = np.round(H.C_inv * 1024) / 1024
-    (_, a), (_, b) = C_inv
-    out = H.replace(C_inv=C_inv, C_V=np.array([[b], [-a]]) / 64, V=np.array([1.0]))
+    rows = [r for r in range(H.n) if r != mode]
+
+    def cofactor(k):  # of entry (mode, k), from a 1 x 1 or 2 x 2 minor
+        M = C_inv[np.ix_(rows, [c for c in range(H.n) if c != k])]
+        minor = M[0, 0] if M.size == 1 else M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+        return (-1) ** (mode + k) * minor
+
+    C_V = np.array([[cofactor(k)] for k in range(H.n)]) / 64
+    out = H.replace(C_inv=C_inv, C_V=C_V, V=np.array([1.0]))
     drive = out.C_inv @ (out.C_V @ out.V)
-    assert drive[0] != 0.0 and drive[1] == 0.0
+    assert drive[mode] != 0.0 and not np.delete(drive, mode).any()
     return out
+
+
+def harmonic_charge_harmonic():
+    """Modes harmonic, charge, harmonic with charge couplings (0, 1) and (0, 2).
+
+    With an offset charge on mode 1 alone (:func:`with_offset_charge`) the
+    quadratic form's row 0 holds an imaginary coefficient (harmonic x
+    driven charge) and a real one (harmonic x harmonic) over real factors.
+    """
+    return with_offset_charge(
+        CircuitHamiltonian(
+            kinds=[ModeKind.INDUCTOR, ModeKind.JUNCTION, ModeKind.INDUCTOR],
+            C_inv=np.array([[2.0, 0.3, 0.2], [0.3, 4.0, 0.0], [0.2, 0.0, 1.5]]),
+            M0=np.diag([1.0, 0.0, 2.0]),
+            E_J=[1.5],
+        ),
+        mode=1,
+    )
 
 
 def oracle_hamiltonian(case, fluxonium, cpb):
@@ -431,6 +459,8 @@ def oracle_hamiltonian(case, fluxonium, cpb):
         return scmodes.full_symplectic(fluxonium).H_out
     if case == "fluxonium-none":
         return scmodes.remove_free_modes(fluxonium)[0]
+    if case == "harmonic-charge-harmonic-offset":
+        return harmonic_charge_harmonic()
     H = scmodes.remove_free_modes(cpb)[0] if case.startswith("cpb") else charge_harmonic_pair()
     return with_offset_charge(H) if case.endswith("-offset") else H
 
@@ -444,10 +474,11 @@ def oracle_hamiltonian(case, fluxonium, cpb):
         ("cpb", [7, 8], np.float64),
         ("cpb-offset", [7, 8], np.complex128),
         ("charge-harmonic-offset", [7, 8], np.complex128),
+        ("harmonic-charge-harmonic-offset", [5, 6, 4], np.complex128),
     ],
     ids=[
         "fluxonium-fs", "charge-harmonic", "fluxonium-none", "cpb", "cpb-offset",
-        "charge-harmonic-offset",
+        "charge-harmonic-offset", "harmonic-charge-harmonic-offset",
     ],
 )
 def test_cosine_coupling_matches_dense_kron(fluxonium, cpb, case, dims, dtype):
@@ -455,7 +486,8 @@ def test_cosine_coupling_matches_dense_kron(fluxonium, cpb, case, dims, dtype):
     # path; the undecoupled fluxonium pair, the n-mode quadratic couplings;
     # the reduced Cooper-pair box (charge x harmonic), a charge coupling
     # whose phases i * i make it real; with an offset charge on the charge
-    # mode, an imaginary charge coefficient and an asymmetric phase factor
+    # mode, an imaginary charge coefficient and an asymmetric phase factor;
+    # harmonic-charge-harmonic, a row of imaginary and real coefficients
     H = oracle_hamiltonian(case, fluxonium, cpb)
     builder = make_locals_builder(H)
     locs = [builder(m, d) for m, d in enumerate(dims)]
@@ -519,7 +551,11 @@ def test_local_phases_rotate_the_quadratic_couplings(fluxonium):
 
 
 @pytest.mark.parametrize(
-    "case", ["fluxonium-fs", "charge-harmonic", "fluxonium-none", "charge-harmonic-offset"]
+    "case",
+    [
+        "fluxonium-fs", "charge-harmonic", "fluxonium-none", "charge-harmonic-offset",
+        "harmonic-charge-harmonic-offset",
+    ],
 )
 def test_complex_block_is_applied_linearly(fluxonium, case):
     # A symmetric cosine term takes Re(X psi) only for real psi; a complex
@@ -532,8 +568,11 @@ def test_complex_block_is_applied_linearly(fluxonium, case):
         op = assembled(scmodes.remove_free_modes(fluxonium)[0], [3, 4, 2, 3, 2])
     elif case == "charge-harmonic":
         op = assembled(charge_harmonic_pair(), [6, 8])
+    elif case == "harmonic-charge-harmonic-offset":
+        op = assembled(harmonic_charge_harmonic(), [5, 6, 4])
     else:
         op = assembled(with_offset_charge(charge_harmonic_pair()), [6, 8])
+    if case.endswith("-offset"):
         assert op.dtype == np.complex128
     rng = np.random.default_rng(3)
     Z = rng.standard_normal((op.dim, 3)) + 1j * rng.standard_normal((op.dim, 3))
@@ -874,6 +913,10 @@ def test_partial_trace_matches_dense_reshape_oracle():
     np.testing.assert_allclose(rho, rho_oracle, atol=1e-12)
     np.testing.assert_allclose(np.trace(rho), 1.0, atol=1e-10)
     assert np.linalg.eigvalsh(rho).min() > -1e-12
+    with pytest.raises(IndexError, match=r"^state 3 out of range \(k = 3\)$"):
+        reduced_density_matrix(res, 3, 0)
+    with pytest.raises(IndexError, match="^mode 2 out of range$"):
+        reduced_density_matrix(res, 0, 2)
 
 
 def test_fluxonium_ground_mode_populations_coincide(fluxonium):

@@ -11,6 +11,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import canonical, decouple, freemode, io, spectrum
@@ -51,6 +52,20 @@ def _check_ranges(args):
         raise ValueError(f"max_sweeps = {args.max_sweeps} must be >= 0")
     if getattr(args, "state", 0) < 0:
         raise ValueError(f"--state must be >= 0, got {args.state}")
+
+
+def _check_output(args):
+    """Open --output before any file is read, so that an unwritable one
+    fails at once with the error the write would raise; a file the check
+    made is removed again."""
+    path = getattr(args, "output", None)
+    if path is None:
+        return
+    existed = os.path.lexists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
 
 
 def _prepare(args):
@@ -224,6 +239,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_ranges(args)
+        _check_output(args)
         return args.func(args)
     except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

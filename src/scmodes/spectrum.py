@@ -2,12 +2,11 @@
 
 Each mode gets a primitive basis (harmonic oscillator or charge states),
 its local Hamiltonian is densely diagonalized there, and the lowest
-``keep`` eigenstates are retained.  A charge-basis mode without a drive
-is even under n -> -n and is diagonalized per parity sector, its odd
-states multiplied by i, so that its charge operator is i times a real
-matrix, as a harmonic mode's is, and it adds nothing complex to the
-operator; a driven charge mode takes one eigh of its whole primitive
-Hamiltonian.  The coupled Hamiltonian is assembled in the product of the
+``keep`` eigenstates are retained, one eigh and one projection P^H X P
+for every mode.  Charge states are parity-adapted, so that the charge
+operator is i times a real matrix, as a harmonic mode's is, and a mode
+without a drive has a real Hamiltonian and adds nothing complex to the
+operator.  The coupled Hamiltonian is assembled in the product of the
 retained bases as a sum of tensor products of local operators, applied
 matrix-free; small systems are materialized and solved densely, larger
 ones go through ARPACK.  A sequence of solves at growing or shrinking
@@ -202,14 +201,17 @@ def build_local_mode(
     charge-basis mode takes no linear flux term and only nonzero integer
     cosine coefficients (:class:`BasisMismatchError`).
 
-    Without a drive, a charge-basis Hamiltonian is even under n -> -n
-    (integer cosine shifts are symmetric, and a linear flux term is
-    refused), and it is diagonalized in its two parity sectors with the
-    odd states multiplied by i (:func:`_parity_eigenbasis`): n_op is then i
-    times a real matrix, as on a harmonic mode, and each phase factor is
-    complex symmetric, so the mode adds nothing complex to the assembled
-    operator.  A charge mode with a nonzero drive, which is odd, takes one
-    eigh of the whole primitive Hamiltonian, as a harmonic mode does.
+    Every mode takes one eigh of its primitive Hamiltonian, whose lowest
+    ``keep`` eigenvectors P project each operator X as P^H X P.  The charge
+    states are parity-adapted: e_0, (e_m + e_-m)/sqrt(2) and
+    i (e_m - e_-m)/sqrt(2).  There an operator even under n -> -n is real
+    and block-diagonal and an odd one, n, is i times a real matrix, both
+    with exact zero blocks.  Without a drive a charge-basis Hamiltonian is
+    even (integer cosine shifts are symmetric, and a linear flux term is
+    refused), so P is real, n_op is i times a real matrix, as on a
+    harmonic mode, and each phase factor is complex symmetric: the mode
+    adds nothing complex to the assembled operator.  A drive, -drive * n,
+    makes the primitive Hamiltonian and P complex.
     """
     c_ii, m_ii = float(H.C_inv[mode, mode]), float(H.M0[mode, mode])
     harmonic = m_ii > 1e-10 * max(1.0, np.abs(H.M0).max())
@@ -252,24 +254,33 @@ def build_local_mode(
                     f"mode {mode}: cosine coefficient {a!r} is not a nonzero integer; "
                     "the charge basis supports integer phase shifts only"
                 )
+        # The parity-adapted states are B = Q diag(u), Q real and u 1 on the
+        # even and i on the odd states, so (B^H X B)_kl is conj(u_k) u_l
+        # (Q^T X Q)_kl: 1 within a sector and +-i across.  An operator even
+        # under n -> -n couples states within a sector alone, an odd one
+        # across alone, and masking the real Q^T X Q makes the other blocks
+        # exact zeros.
+        eye = np.eye(dim)
+        Q = np.hstack([(eye + eye[::-1])[:, max_charge:], (eye - eye[::-1])[:, max_charge + 1:]])
+        Q /= np.linalg.norm(Q, axis=0)
+        odd = np.arange(dim) > max_charge
+        within = odd == odd[:, None]
+        across = 1j * (odd.astype(float) - odd[:, None])
         charges = np.arange(-max_charge, max_charge + 1, dtype=float)
         phi = None
-        n = np.diag(charges)
-        H_prim = np.diag(0.5 * c_ii * charges**2)
-        # exp(i*a*phi): |m> -> |m + a>
-        exp = lambda a: np.eye(dim, k=-round(a))  # noqa: E731
-        cos = lambda a: 0.5 * (exp(a) + exp(a).T)  # noqa: E731
+        n = across * (Q.T @ np.diag(charges) @ Q)
+        H_prim = within * (Q.T @ np.diag(0.5 * c_ii * charges**2) @ Q)
+        # exp(i*a*phi): |m> -> |m + a>; cos(a*phi) is its even part
+        exp = lambda a: (within + across) * (Q.T @ np.eye(dim, k=-round(a)) @ Q)  # noqa: E731
+        cos = lambda a: exp(a).real  # noqa: E731
 
     for energy, sign, a in cos_terms:
         H_prim -= sign * energy * cos(a)
     if drive != 0.0:
         H_prim = H_prim - drive * n
-    if harmonic or drive != 0.0:
-        evals, evecs = np.linalg.eigh(H_prim)
-        P = evecs[:, :keep]
-        project = lambda X: P.conj().T @ X @ P  # noqa: E731
-    else:
-        evals, project = _parity_eigenbasis(H_prim, keep)
+    evals, evecs = np.linalg.eigh(H_prim)
+    P = evecs[:, :keep]
+    project = lambda X: P.conj().T @ X @ P  # noqa: E731
     return LocalMode(
         mode_index=mode,
         energies=evals[:keep],
@@ -277,46 +288,6 @@ def build_local_mode(
         n_op=project(n),
         phase_factors={a: project(exp(a)) for a in sorted({a for _, _, a in cos_terms})},
     )
-
-
-def _parity_eigenbasis(H_prim: np.ndarray, keep: int):
-    """The lowest ``keep`` eigenpairs of a charge-basis H_prim even under n -> -n.
-
-    With charges -M .. M, the even sector is spanned by e_0 and
-    (e_m + e_-m)/sqrt(2), the odd one by i (e_m - e_-m)/sqrt(2), m = 1 .. M.
-    Each sector gets its own real eigh, half the size of H_prim, and the
-    two spectra are merged by a stable sort.  The sectors are split before
-    the eigh: one eigh of H_prim mixes the nearly degenerate +-m pairs at
-    high energy, and no phase fixed afterwards separates them again.
-
-    Returns the energies and X -> P^H X P for a real X, P the retained
-    states.  With P = Q diag(u), Q real and u 1 on even and i on odd
-    states, the part of X even under n -> -n couples states within a
-    sector and gets the factor 1, the odd part couples them across and
-    gets +-i, so each block is computed in real arithmetic.  The charge
-    operator, odd, comes out exactly i times a real matrix, and the
-    phase factors real within a sector and imaginary across.
-    """
-    dim = H_prim.shape[0]
-    half = dim // 2
-    eye = np.eye(dim)
-    bases = [(eye + eye[::-1])[:, half:], (eye - eye[::-1])[:, half + 1:]]
-    bases = [B / np.linalg.norm(B, axis=0) for B in bases]
-    sectors = [np.linalg.eigh(B.T @ H_prim @ B) for B in bases]
-    evals = np.concatenate([w for w, _ in sectors])
-    order = np.argsort(evals, kind="stable")[:keep]
-    Q = np.hstack([B @ V for B, (_, V) in zip(bases, sectors)])[:, order]
-    odd = (order > half).astype(float)
-    # conj(u_k) u_l is 1 within a sector and i * across[k, l] across
-    across = odd - odd[:, None]
-    within = across == 0
-
-    def project(X):
-        flipped = X[::-1, ::-1]  # R X R, R the reflection n -> -n
-        even, odd_part = Q.T @ (X + flipped) @ Q, Q.T @ (X - flipped) @ Q
-        return 0.5 * (within * even + 1j * (across * odd_part))
-
-    return evals[order], project
 
 
 @dataclass(frozen=True)
@@ -690,9 +661,13 @@ def eigensolve(
 def make_locals_builder(H: CircuitHamiltonian):
     """Builder (mode, keep) -> LocalMode that caches and truncates.
 
-    The primitive diagonalization is mode-local and its basis only grows
-    with keep, so a larger previously built mode is sliced instead of
-    rebuilt.
+    The primitive diagonalization is mode-local, so a larger previously
+    built mode is sliced instead of rebuilt.  A larger request rebuilds
+    the mode.  Up to keep 50 on a harmonic mode and 20 on a charge mode
+    the primitive basis keeps its default size and the retained states are
+    the old ones; above, each rebuild has a larger primitive basis, and
+    its states differ from the old ones by the truncation error and
+    possibly by a sign each.
     """
     cache: dict[int, LocalMode] = {}
 
@@ -741,8 +716,11 @@ def embed(vectors: np.ndarray, old_dims, new_dims) -> np.ndarray:
     """A (prod(old_dims), m) block carried to (prod(new_dims), m).
 
     Each mode's axis is zero-padded or truncated to its new dimension.
-    Between bases of one ``make_locals_builder``, which truncates a single
-    local eigenbasis, this is exact: the retained states are nested.
+    Between bases of one ``make_locals_builder`` this is exact while no
+    mode was rebuilt in a larger primitive basis, since the retained states
+    are then nested.  Across such a rebuild (above keep 50 on a harmonic
+    mode, as from cutoff 32 to 64) a state may change sign, so the block
+    is then only a start vector, not the previous solution.
     """
     old_dims = tuple(int(d) for d in old_dims)
     new_dims = tuple(int(d) for d in new_dims)

@@ -355,20 +355,34 @@ def test_bad_k_or_epsilon_rejected_before_loading(capsys, monkeypatch, argv, mes
          "{missing}"),
         (["remove-free", "--input", "{toy}", "--output", "{lost}"], "{missing}"),
         (["decouple", "--input", "{toy}", "--method", "fs", "--output", "{lost}"], "{missing}"),
+        (["spectrum", "--input", "{absent}", "--output", "{fresh}"],
+         "{absent}: No such file or directory"),
+        (["remove-free", "--input", "{absent}", "--output", "{fresh}"],
+         "{absent}: No such file or directory"),
     ],
     ids=["inspect-array", "inspect-null", "inspect-string", "inspect-absent",
          "inspect-no-C_inv", "spectrum-array",
          "spectrum-output", "converge-output", "rdm-output", "adaptive-cutoffs-output",
-         "remove-free-output", "decouple-output"],
+         "remove-free-output", "decouple-output", "spectrum-absent", "remove-free-absent"],
 )
-def test_failures_end_in_one_error_line(tmp_path, capsys, argv, message):
+def test_failures_end_in_one_error_line(tmp_path, capsys, monkeypatch, argv, message):
     # An unreadable input, a top level that is not an object, or an
     # --output in a missing directory is reported like any bad input: one
-    # line naming the file, no traceback, exit code 1.
+    # line naming the file, no traceback, exit code 1.  An unwritable
+    # --output is found before any work, and a writable one whose command
+    # fails is not left behind.
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before finding the unwritable --output")
+
+    for module, name in [(cli.spectrum, "solve"), (cli.spectrum, "spectrum_vs_cutoff"),
+                         (cli.spectrum, "adaptive_cutoffs"), (cli.freemode, "remove_free_modes"),
+                         (cli.decouple, "apply_method")]:
+        monkeypatch.setattr(module, name, no_work)
     paths = {
         "toy": str(write_toy(tmp_path)),
         "absent": str(tmp_path / "absent.json"),
         "lost": str(tmp_path / "missing" / "x.csv"),
+        "fresh": str(tmp_path / "fresh.json"),
     }
     files = {
         "array": [1, 2],
@@ -383,6 +397,7 @@ def test_failures_end_in_one_error_line(tmp_path, capsys, argv, message):
     code, out, err = run(capsys, *(a.format(**paths) for a in argv))
     assert (code, out, err) == (1, "", f"error: {message.format(**paths)}\n")
     assert "Traceback" not in err
+    assert not list(tmp_path.glob("fresh*"))
 
 
 def test_adaptive_cutoffs_csv(tmp_path, capsys):

@@ -6,7 +6,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import scmodes
 from scmodes import spectrum
@@ -227,6 +227,25 @@ def test_charge_mode_matches_mathieu(c, E_J, sign):
     np.testing.assert_allclose(loc.energies, mathieu_levels(c, E_J, 4), rtol=0, atol=1e-12)
 
 
+@ORACLE_SETTINGS
+@given(
+    c=st.floats(0.5, 8.0),
+    E_J=st.floats(0.1, 6.0),
+    sign=st.sampled_from([1.0, -1.0]),
+    V=st.floats(-1.0, 1.0),
+)
+@example(c=4.0, E_J=0.5, sign=1.0, V=0.5)  # the sweet spot, where charges 0 and 1 meet
+def test_driven_charge_mode_matches_plain_charge_basis(c, E_J, sign, V):
+    # The drive is c V: 1/2 c n^2 - c V n = 1/2 c (n - V)^2 - 1/2 c V^2,
+    # here diagonalized in the plain charge states -60 .. 60.
+    loc = build_local_mode(junction_mode(c, 0.0, E_J, sign, V=V), 0, keep=4)
+    charges = np.arange(-60, 61.0)
+    shift = np.eye(charges.size, k=-1)
+    H = np.diag(0.5 * c * (charges - V) ** 2) - sign * E_J * (shift + shift.T) / 2
+    expected = np.linalg.eigvalsh(H)[:4] - 0.5 * c * V**2
+    np.testing.assert_allclose(loc.energies, expected, rtol=0, atol=1e-10)
+
+
 @pytest.mark.parametrize("x,harmonic", [(1.5, True), (0.5, False)])
 def test_basis_kind_follows_relative_flux_term(x, harmonic):
     # harmonic exactly when M0_ii > 1e-10 * max(1, max|M0|), here 2e-10
@@ -264,16 +283,19 @@ def test_default_primitive_size(m, keep, primitive_dim):
     ids=["harmonic", "driven-harmonic", "driven-charge", "charge"],
 )
 def test_real_basis_is_whether_the_quadratic_factors_are_real(m, V, real):
-    # a drive makes a harmonic mode's primitive Hamiltonian complex, not a
-    # charge mode's; an undriven charge mode's n_op is i times a real matrix
+    # a drive makes the primitive Hamiltonian complex; the driven charge
+    # mode's n_op still comes out real with the eigenvector phases LAPACK
+    # picks, the driven harmonic mode's does not; an undriven charge mode's
+    # n_op is i times a real matrix
     loc = build_local_mode(junction_mode(1.0, m, 2.0, 1.0, V=V), 0, keep=4)
     assert loc.real_basis == real and loc.truncated(2).real_basis == real
 
 
 def test_parity_basis_matches_one_eigh_of_the_primitive_hamiltonian():
     # E_J small against C_inv: the +-m pairs above the lowest few are
-    # degenerate to machine precision, and one eigh of the whole primitive
-    # Hamiltonian returns them mixed
+    # degenerate to machine precision, and one eigh in the plain charge
+    # states returns them mixed; in the parity-adapted states the two
+    # sectors are separate exact blocks
     c, E_J, keep = 1.0, 0.1, 30
     loc = build_local_mode(junction_mode(c, 0.0, E_J, 1.0), 0, keep=keep)
     max_charge = max(40, 2 * keep)
@@ -416,10 +438,10 @@ def with_offset_charge(H, mode=0):
     that mode and zero on the others.  C_inv is rounded to multiples of
     2^-10 first, so that every product is exact and the zeros too: with the
     reduced box's own entries a fused multiply-add leaves ~3e-18, which
-    drives the harmonic mode.  The driven charge mode keeps a real basis
-    and a real n_op, so its charge couplings to harmonic modes are
-    imaginary and a charge phase factor is not symmetric, whatever phases
-    LAPACK picks.
+    drives the harmonic mode.  The driven charge mode's n_op has a real
+    nonzero diagonal, so its charge couplings to harmonic modes are not
+    real, and its phase factor is not symmetric, whatever phases LAPACK
+    picks for its complex eigenvectors.
     """
     C_inv = np.round(H.C_inv * 1024) / 1024
     rows = [r for r in range(H.n) if r != mode]
@@ -441,7 +463,8 @@ def harmonic_charge_harmonic():
 
     With an offset charge on mode 1 alone (:func:`with_offset_charge`) the
     quadratic form's row 0 holds an imaginary coefficient (harmonic x
-    driven charge) and a real one (harmonic x harmonic) over real factors.
+    driven charge) and a real one (harmonic x harmonic) over real factors,
+    with the eigenvector phases LAPACK picks for the driven charge mode.
     """
     return with_offset_charge(
         CircuitHamiltonian(

@@ -822,18 +822,129 @@ def test_arpack_non_convergence_reports_pairs_found(monkeypatch, vectors):
         assert residuals.shape == (1,) and residuals[0] < 1e-10
 
 
+# ---------------------------------------------------------------------------
+# block Davidson: operators above DENSE_LIMIT whose couplings are all cosines
+# ---------------------------------------------------------------------------
+
+
+def identical_oscillators(n, charge_coupling=0.0):
+    """n oscillators of frequency 1, C_inv = I + c (J - I) and M0 = I."""
+    return CircuitHamiltonian(
+        kinds=[ModeKind.INDUCTOR] * n,
+        C_inv=np.eye(n) + charge_coupling * (np.ones((n, n)) - np.eye(n)),
+        M0=np.eye(n),
+    )
+
+
+def has_quadratic_form(op):
+    return any(isinstance(t, spectrum._QuadraticForm) for t in op._terms)
+
+
+def block_operator(case, fluxonium):
+    """A cosine-coupled operator above DENSE_LIMIT: the fs fluxonium pair
+    (real) or the charge-harmonic pair with an offset charge (complex)."""
+    if case == "fs":
+        op = assembled(scmodes.full_symplectic(fluxonium).H_out, [8] * 5)
+    else:
+        op = assembled(with_offset_charge(charge_harmonic_pair()), [70, 70])
+    assert op.dim > spectrum.DENSE_LIMIT and not has_quadratic_form(op)
+    return op
+
+
+@pytest.fixture
+def arpack_refused(monkeypatch):
+    """spectrum's eigsh replaced by one that raises; returns scipy's own."""
+    oracle = spectrum.scipy.sparse.linalg.eigsh
+
+    def refused(*args, **kwargs):
+        raise AssertionError("eigsh reached")
+
+    monkeypatch.setattr(spectrum.scipy.sparse.linalg, "eigsh", refused)
+    return oracle
+
+
+@pytest.mark.parametrize("case,dtype", [("fs", np.float64), ("charge-harmonic-offset", np.complex128)])
+def test_block_davidson_matches_eigsh_oracle(fluxonium, arpack_refused, case, dtype):
+    op = block_operator(case, fluxonium)
+    assert op.dtype == dtype
+    A = spectrum.scipy.sparse.linalg.LinearOperator(
+        (op.dim, op.dim), matvec=op.matvec, dtype=op.dtype)
+    ref_vals, ref_vecs = arpack_refused(A, k=5, which="SA", tol=1e-13, ncv=60)
+    order = np.argsort(ref_vals)
+    ref_vals, ref_vecs = ref_vals[order], ref_vecs[:, order]
+    assert ref_vals[4] - ref_vals[3] > 1e-3  # the span of the 4 lowest is defined
+    res = eigensolve(op, k=4)
+    np.testing.assert_allclose(res.eigenvalues, ref_vals[:4], rtol=0, atol=1e-10)
+    # the oracle's span holds the block: no dim x dim projector is formed
+    ref = ref_vecs[:, :4]
+    outside = res.eigenvectors - ref @ (ref.conj().T @ res.eigenvectors)
+    assert np.linalg.norm(outside, axis=0).max() < 1e-6
+
+
+def test_only_quadratic_forms_reach_arpack(fluxonium, arpack_refused):
+    res = eigensolve(block_operator("fs", fluxonium), k=2)
+    assert res.eigenvalues.shape == (2,)
+    op = assembled(identical_oscillators(3, charge_coupling=0.2), [17] * 3)
+    assert op.dim > spectrum.DENSE_LIMIT and has_quadratic_form(op)
+    with pytest.raises(AssertionError, match="eigsh reached"):
+        eigensolve(op, k=2)
+
+
+def test_exact_warm_start_converges_within_one_search_space(fluxonium):
+    op = block_operator("fs", fluxonium)
+    calls = []
+    matvec = op.matvec
+
+    def counting(v):
+        calls.append(1)
+        return matvec(v)
+
+    op.matvec = counting
+    cold = eigensolve(op, k=4)
+    n_cold = len(calls)
+    calls.clear()
+    warm = eigensolve(op, k=4, start=cold.eigenvectors)
+    # ARPACK builds ncv = 40 Krylov vectors before it first checks convergence
+    assert len(calls) < min(n_cold, 40)
+    np.testing.assert_allclose(warm.eigenvalues, cold.eigenvalues, rtol=0, atol=1e-10)
+
+
+def test_block_davidson_iteration_cap_reports_k_residuals(fluxonium, monkeypatch):
+    monkeypatch.setattr(spectrum, "_DAVIDSON_MAX_ITER", 2)
+    with pytest.raises(EigensolverConvergenceError, match="within 2 iterations") as info:
+        eigensolve(block_operator("fs", fluxonium), k=3)
+    residuals = info.value.residuals
+    assert residuals.shape == (3,) and np.all(residuals > 0)
+
+
+@pytest.mark.parametrize(
+    "n,d,k,levels",
+    [(2, 65, 3, [1.0, 2.0, 2.0]), (3, 17, 4, [1.5, 2.5, 2.5, 2.5])],
+    ids=["two-at-65", "three-at-17"],
+)
+def test_block_path_returns_exact_degenerate_copies(n, d, k, levels):
+    # Single-vector Lanczos holds one vector of each exactly degenerate
+    # eigenspace; a block of k columns holds as many as the block has.
+    op = assembled(identical_oscillators(n), [d] * n)
+    assert op.dim > spectrum.DENSE_LIMIT and not has_quadratic_form(op)
+    res = eigensolve(op, k=k)
+    np.testing.assert_allclose(res.eigenvalues, levels, atol=1e-8)
+
+
 @pytest.mark.xfail(strict=True, reason="single-vector Lanczos misses exact degenerate copies")
 def test_arpack_misses_exact_degenerate_copy():
-    # Known limitation: single-vector Lanczos holds one vector of each
-    # exactly degenerate eigenspace, so past DENSE_LIMIT two identical
-    # oscillators give 1, 2, 3 instead of 1, 2, 2, every residual passing.
-    H = CircuitHamiltonian(
-        kinds=[ModeKind.INDUCTOR] * 2, C_inv=np.eye(2), M0=np.eye(2)
-    )
-    op = assembled(H, [65, 65])
-    assert op.dim > spectrum.DENSE_LIMIT
-    res = eigensolve(op, k=3)
-    np.testing.assert_allclose(res.eigenvalues, [1.0, 2.0, 2.0], atol=1e-8)
+    # Known limitation: with a charge coupling the operator stays on ARPACK,
+    # whose single-vector Lanczos holds one vector of each exactly degenerate
+    # eigenspace.  Three identical oscillators, equally charge-coupled, have
+    # normal-mode frequencies sqrt(1.4) and sqrt(0.8) twice, and ARPACK
+    # returns 1.48604, 2.38046, 2.66925, 3.27489, every residual passing.
+    op = assembled(identical_oscillators(3, charge_coupling=0.2), [17] * 3)
+    assert op.dim > spectrum.DENSE_LIMIT and has_quadratic_form(op)
+    w_sym, w_pair = np.sqrt(1.4), np.sqrt(0.8)
+    ground = (w_sym + 2 * w_pair) / 2
+    res = eigensolve(op, k=4)
+    np.testing.assert_allclose(
+        res.eigenvalues, [ground, ground + w_pair, ground + w_pair, ground + w_sym], atol=1e-6)
 
 
 # ---------------------------------------------------------------------------

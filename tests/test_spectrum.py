@@ -823,7 +823,7 @@ def test_arpack_non_convergence_reports_pairs_found(monkeypatch, vectors):
 
 
 # ---------------------------------------------------------------------------
-# block Davidson: operators above DENSE_LIMIT whose couplings are all cosines
+# LOBPCG: operators above DENSE_LIMIT whose couplings are all cosines
 # ---------------------------------------------------------------------------
 
 
@@ -864,7 +864,7 @@ def arpack_refused(monkeypatch):
 
 
 @pytest.mark.parametrize("case,dtype", [("fs", np.float64), ("charge-harmonic-offset", np.complex128)])
-def test_block_davidson_matches_eigsh_oracle(fluxonium, arpack_refused, case, dtype):
+def test_block_path_matches_eigsh_oracle(fluxonium, arpack_refused, case, dtype):
     op = block_operator(case, fluxonium)
     assert op.dtype == dtype
     A = spectrum.scipy.sparse.linalg.LinearOperator(
@@ -909,12 +909,45 @@ def test_exact_warm_start_converges_within_one_search_space(fluxonium):
     np.testing.assert_allclose(warm.eigenvalues, cold.eigenvalues, rtol=0, atol=1e-10)
 
 
-def test_block_davidson_iteration_cap_reports_k_residuals(fluxonium, monkeypatch):
-    monkeypatch.setattr(spectrum, "_DAVIDSON_MAX_ITER", 2)
+def test_lobpcg_iteration_cap_reports_k_residuals(fluxonium, monkeypatch):
+    monkeypatch.setattr(spectrum, "_LOBPCG_MAX_ITER", 2)
     with pytest.raises(EigensolverConvergenceError, match="within 2 iterations") as info:
         eigensolve(block_operator("fs", fluxonium), k=3)
     residuals = info.value.residuals
     assert residuals.shape == (3,) and np.all(residuals > 0)
+
+
+@pytest.mark.parametrize(
+    "case,tol", [("fs", 1e-9), ("fs", 1e-7), ("charge-harmonic-offset", 1e-9)])
+def test_block_path_pairs_meet_the_stopping_rule(fluxonium, arpack_refused, case, tol):
+    res = eigensolve(block_operator(case, fluxonium), k=4, tol=tol)
+    assert np.all(res.residuals <= tol * np.maximum(1.0, np.abs(res.eigenvalues)))
+
+
+def test_block_path_rejects_a_silent_miss(fluxonium, monkeypatch):
+    # A LOBPCG that stops at a looser tolerance than it was given, without
+    # a warning, returns pairs inside RESIDUAL_FACTOR tolerances but outside
+    # the stopping rule.
+    lobpcg = spectrum.scipy.sparse.linalg.lobpcg
+
+    def loose(*args, tol, **kwargs):
+        return lobpcg(*args, tol=1e3 * tol, **kwargs)
+
+    monkeypatch.setattr(spectrum.scipy.sparse.linalg, "lobpcg", loose)
+    with pytest.raises(EigensolverConvergenceError, match="exceed") as info:
+        eigensolve(block_operator("fs", fluxonium), k=3)
+    assert info.value.residuals.shape == (3,)
+
+
+@pytest.mark.parametrize("column", ["ground-state", "all-ones"])
+def test_dependent_start_columns_still_converge(fluxonium, column):
+    # LOBPCG stalls on a start block of dependent columns; the block path
+    # keeps the independent ones and fills up with unit vectors.
+    op = block_operator("fs", fluxonium)
+    cold = eigensolve(op, k=3)
+    v = cold.eigenvectors[:, 0] if column == "ground-state" else np.ones(op.dim)
+    res = eigensolve(op, k=3, start=np.stack([v, v, v], axis=1))
+    np.testing.assert_allclose(res.eigenvalues, cold.eigenvalues, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize(

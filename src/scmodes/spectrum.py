@@ -8,12 +8,13 @@ operator is i times a real matrix, as a harmonic mode's is, and a mode
 without a drive has a real Hamiltonian and adds nothing complex to the
 operator.  The coupled Hamiltonian is assembled in the product of the
 retained bases as a sum of tensor products of local operators, applied
-matrix-free.  Small systems are materialized and solved densely.  Larger
-ones whose couplings are all cosines go through scipy's LOBPCG with the
-product diagonal, the summed local energies, as preconditioner: each
-cosine coupling is bounded by its junction energy at every cutoff, so in
-a decoupled basis the diagonal is nearly the whole operator.  Larger ones
-with quadratic couplings, which grow with the cutoff, go through ARPACK.
+matrix-free.  Small systems, and requests for more than a fifth of the
+levels, are materialized and solved densely.  Larger ones whose couplings
+are all cosines go through scipy's LOBPCG with the product diagonal, the
+summed local energies, as preconditioner: each cosine coupling is
+bounded by its junction energy at every cutoff, so in a decoupled basis
+the diagonal is nearly the whole operator.  Larger ones with quadratic
+couplings, which grow with the cutoff, go through ARPACK.
 A sequence of solves at growing or shrinking cutoffs (the adaptive
 search, a cutoff sweep) starts each iterative solve from the previous
 solution, carried over by ``embed``.
@@ -352,7 +353,14 @@ class _Scratch:
     """Full-size arrays no term reads any more, handed out again by dtype.
 
     One lives for one product H psi, so that its terms write into the
-    arrays of earlier ones instead of allocating their own.
+    arrays of earlier ones instead of allocating their own.  It costs
+    memory, since a bucket of one dtype cannot serve a request for the
+    other, yet it stays: with a fresh array for every factor (one BLAS
+    thread, three alternating pairs, bit-identical results) the fs
+    adaptive search and solve of the fluxonium pair peaked at 148 MB
+    instead of 176 MB, but a d = 9 ``none`` matvec took 2.90-3.00 ms
+    instead of 2.55-2.64 ms and ``solve(H_none, [12] * 5, k=4)``
+    13.0-14.5 s instead of 11.8-13.1 s.
     """
 
     def __init__(self, shape):
@@ -650,15 +658,18 @@ def eigensolve(
 ) -> SpectrumResult:
     """k lowest eigenpairs by one of three branches, chosen from op alone.
 
-    - Up to DENSE_LIMIT dimensions (or k >= dim - 1): dense ``eigh`` of the
-      materialized operator, k pairs only.
-    - Above it, when every coupling is a cosine (no quadratic form):
+    - Up to DENSE_LIMIT dimensions, or when k > dim / 5: dense ``eigh`` of
+      the materialized operator as built, k pairs only (``eigh`` reads one
+      triangle).  Above a fifth of the levels LOBPCG would itself fall back
+      to a dense solve, one matvec per unit vector, and ARPACK's 2k + 1
+      Krylov vectors would span over two fifths of the space.
+    - Otherwise, when every coupling is a cosine (no quadratic form):
       LOBPCG (:func:`_lobpcg`), preconditioned by the product diagonal.
       A cosine coupling is bounded by its junction energy at every cutoff,
       so the diagonal stays a good approximation of the operator however
       large the cutoffs grow.  Each pair meets
       ||H v - E v|| <= tol * max(1, |E|).
-    - Above it, with quadratic couplings: ARPACK.  A quadratic coupling
+    - Otherwise, with quadratic couplings: ARPACK.  A quadratic coupling
       grows with the cutoff, as the charge and flux operators do, so the
       diagonal preconditions poorly: with k = 4 LOBPCG took 1.8-1.9
       times ARPACK's time on the undecoupled fluxonium pair at 7 776 to
@@ -681,12 +692,10 @@ def eigensolve(
     if op.dim < k:
         raise ValueError(f"operator dimension {op.dim} is smaller than k = {k}")
     factor = RESIDUAL_FACTOR
-    if op.dim <= DENSE_LIMIT or k >= op.dim - 1:
-        dense = op.to_dense()
-        # (H + H^H)/2 in place, with one full-size temporary instead of two
-        dense += dense.conj().T
-        dense *= 0.5
-        evals, evecs = scipy.linalg.eigh(dense, overwrite_a=True, subset_by_index=[0, k - 1])
+    if op.dim <= DENSE_LIMIT or 5 * k > op.dim:
+        evals, evecs = scipy.linalg.eigh(
+            op.to_dense(), overwrite_a=True, subset_by_index=[0, k - 1]
+        )
     elif not any(isinstance(t, _QuadraticForm) for t in op._terms):
         evals, evecs = _lobpcg(op, k, tol, start)
         factor = 1  # LOBPCG's own stopping rule, checked
@@ -797,9 +806,12 @@ def embed(vectors: np.ndarray, old_dims, new_dims) -> np.ndarray:
     are then nested.  Across such a rebuild (above keep 50 on a harmonic
     mode, as from cutoff 32 to 64) a state may change sign, so the block
     is then only a start vector, not the previous solution.
+    Raises ValueError when the two give different numbers of modes.
     """
     old_dims = tuple(int(d) for d in old_dims)
     new_dims = tuple(int(d) for d in new_dims)
+    if len(old_dims) != len(new_dims):
+        raise ValueError(f"old_dims {old_dims} and new_dims {new_dims} differ in mode count")
     vectors = np.asarray(vectors)
     m = vectors.shape[1]
     out = np.zeros(new_dims + (m,), dtype=vectors.dtype)

@@ -890,6 +890,41 @@ def test_only_quadratic_forms_reach_arpack(fluxonium, arpack_refused):
         eigensolve(op, k=2)
 
 
+@pytest.fixture
+def lobpcg_refused(monkeypatch):
+    """spectrum's lobpcg replaced by one that raises."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("lobpcg reached")
+
+    monkeypatch.setattr(spectrum.scipy.sparse.linalg, "lobpcg", refused)
+
+
+def test_more_than_a_fifth_of_cosine_coupled_levels_go_dense(
+        fluxonium, monkeypatch, lobpcg_refused):
+    # At 5 k > dim LOBPCG falls back to its own dense solve, one matvec per
+    # unit vector, and warns as on a miss; the dense branch takes it first.
+    monkeypatch.setattr(spectrum, "DENSE_LIMIT", 64)
+    op = assembled(scmodes.full_symplectic(fluxonium).H_out, [3] * 5)
+    assert op.dim == 243 and not has_quadratic_form(op)
+    res = eigensolve(op, k=50)
+    ref_vals = np.linalg.eigh(op.to_dense())[0]
+    np.testing.assert_allclose(res.eigenvalues, ref_vals[:50], rtol=0, atol=1e-10)
+    with pytest.raises(AssertionError, match="lobpcg reached"):
+        eigensolve(op, k=48)  # 5 * 48 = 240 <= 243
+
+
+def test_more_than_a_fifth_of_quadratic_coupled_levels_go_dense(monkeypatch, arpack_refused):
+    monkeypatch.setattr(spectrum, "DENSE_LIMIT", 16)
+    op = assembled(coupled_pair(), [6, 6])
+    assert op.dim == 36 and has_quadratic_form(op)
+    res = eigensolve(op, k=8)
+    ref_vals = np.linalg.eigh(op.to_dense())[0]
+    np.testing.assert_allclose(res.eigenvalues, ref_vals[:8], rtol=0, atol=1e-10)
+    with pytest.raises(AssertionError, match="eigsh reached"):
+        eigensolve(op, k=7)  # 5 * 7 = 35 <= 36
+
+
 def test_exact_warm_start_converges_within_one_search_space(fluxonium):
     op = block_operator("fs", fluxonium)
     calls = []
@@ -992,6 +1027,12 @@ def test_embed_pads_and_truncates_exactly():
     assert padded.shape == (6 * 3 * 7, 2) and padded.dtype == vecs.dtype
     np.testing.assert_array_equal(embed(padded, (6, 3, 7), (4, 3, 5)), vecs)
     np.testing.assert_array_equal(np.linalg.norm(padded, axis=0), np.linalg.norm(vecs, axis=0))
+
+
+def test_embed_rejects_a_different_mode_count():
+    # broadcasting would spread the 9 rows of (3, 3) over a third axis
+    with pytest.raises(ValueError, match="mode count"):
+        embed(np.ones((9, 1)), (3, 3), (3, 3, 3))
 
 
 def test_embedded_eigenvector_keeps_rayleigh_quotient(fluxonium):

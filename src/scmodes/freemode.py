@@ -167,7 +167,8 @@ def gaussian_elim_transform(
 ) -> canonical.CanonicalTransform:
     """Iterative Gaussian elimination of the first F (free) modes.
 
-    The returned transform is W = [(W_F ... W_1)^T]^-1 built from
+    The returned transform is W = [(W_F ... W_1)^T]^-1 = W_F^T ... W_1^T
+    with W^-1 = (W_F ... W_1)^T, both products of the involutions of
     :func:`elimination_factors`; the transformed C_inv is block diagonal
     with F leading 1x1 blocks while M0, N, the non-free C_inv submatrix,
     and the non-free fluxes are all preserved.
@@ -176,12 +177,10 @@ def gaussian_elim_transform(
     if F == 0:
         return canonical.CanonicalTransform.identity(n)
     require_valid(H_exposed)
-    G = np.eye(n)
+    W, W_inv = np.eye(n), np.eye(n)
     for W_f in elimination_factors(H_exposed, F):
-        G = W_f @ G
-    # G = W_F ... W_1 = (W^T)^-1, so W^-1 = G^T exactly; invert
-    # only once for W itself.
-    return canonical.CanonicalTransform(np.linalg.inv(G.T), G.T)
+        W, W_inv = W_f.T @ W, W_inv @ W_f.T
+    return canonical.CanonicalTransform(W, W_inv)
 
 
 def remove_free_modes(

@@ -105,6 +105,12 @@ class CutoffLimitError(RuntimeError):
     """Adaptive cutoff search hit d_max on some mode, or ran out of rounds."""
 
 
+def _check_integer(name: str, value) -> None:
+    """The integer rule of k, state and mode: an integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} = {value!r} must be an integer")
+
+
 def _check_cutoff(mode: int, d, available: int) -> None:
     """The one cutoff rule: an integer d (not a bool) of retained states in [1, available]."""
     if isinstance(d, bool) or not isinstance(d, numbers.Integral) or not 1 <= d <= available:
@@ -350,17 +356,12 @@ def _apply_axis(mat: np.ndarray, psi: np.ndarray, axis: int, out: np.ndarray) ->
 
 
 class _Scratch:
-    """Full-size arrays no term reads any more, handed out again by dtype.
+    """The one source of a product's full-size arrays, handed out by dtype.
 
-    One lives for one product H psi, so that its terms write into the
-    arrays of earlier ones instead of allocating their own.  It costs
-    memory, since a bucket of one dtype cannot serve a request for the
-    other, yet it stays: with a fresh array for every factor (one BLAS
-    thread, three alternating pairs, bit-identical results) the fs
-    adaptive search and solve of the fluxonium pair peaked at 148 MB
-    instead of 176 MB, but a d = 9 ``none`` matvec took 2.90-3.00 ms
-    instead of 2.55-2.64 ms and ``solve(H_none, [12] * 5, k=4)``
-    13.0-14.5 s instead of 11.8-13.1 s.
+    One lives for one product H psi.  Every full-size array the product
+    needs, a cast of psi included, is taken from it and given back once
+    no term reads it, so that later terms write into the arrays of
+    earlier ones instead of allocating their own.
     """
 
     def __init__(self, shape):
@@ -377,10 +378,18 @@ class _Scratch:
 
 
 def _apply_factors(factors, psi: np.ndarray, scratch: _Scratch) -> np.ndarray:
-    """prod_j mat_j applied to psi, each mat_j along axis_j, into a scratch array."""
+    """prod_j mat_j applied to psi, each mat_j along axis_j, into a scratch array;
+    a real vector meets a complex factor as a scratch copy, never cast by matmul."""
     w = psi
     for axis, mat in factors:
-        v = _apply_axis(mat, w, axis, scratch.take(np.result_type(mat, w)))
+        dtype = np.result_type(mat, w)
+        if w.dtype != dtype:
+            v = scratch.take(dtype)
+            v[...] = w
+            if w is not psi:
+                scratch.give(w)
+            w = v
+        v = _apply_axis(mat, w, axis, scratch.take(dtype))
         if w is not psi:
             scratch.give(w)
         w = v
@@ -447,8 +456,9 @@ class _Term:
 class _QuadraticForm:
     """sum_{i<j} c_ij A_i A_j over the pairs of one coupling kind, A_i on axis i.
 
-    Applied as sum_i A_i (sum_j c_ij Y_j), each Y_j = A_j psi computed once
-    and handed back to the scratch after the last row that reads it.  A
+    Applied as sum_i A_i (sum_j c_ij Y_j), each row sum a scratch array and
+    each Y_j = A_j psi computed once and handed back to the scratch right
+    after its last read, for the row's product to reuse.  A
     _Term per pair would apply both of its factors: on the undecoupled
     fluxonium pair (10 charge and 6 flux pairs over 5 modes) that is 32
     single-axis products per matvec, here 16, and with the contiguous
@@ -480,11 +490,7 @@ class _QuadraticForm:
         )
         self.mats = {m: a.astype(self._dtype, copy=False) for m, (_, a) in split.items()}
         self._last = {j: r for r, row in enumerate(by_row.values()) for j, _ in row}
-        # a row's last reads come first, so that its sum can take over a Y_j
-        self.rows = tuple(
-            (i, tuple(sorted(row, key=lambda p: self._last[p[0]] != r)))
-            for r, (i, row) in enumerate(by_row.items())
-        )
+        self.rows = tuple(by_row.items())
 
     @property
     def is_real(self) -> bool:
@@ -497,20 +503,17 @@ class _QuadraticForm:
         for r, (i, pairs) in enumerate(self.rows):
             s = None
             for j, c in pairs:
-                dies = self._last[j] == r
-                y = ys.pop(j) if j in ys else _apply_axis(self.mats[j], psi, j, scratch.take(dtype))
-                if not dies:
-                    ys[j] = y
+                if j not in ys:
+                    ys[j] = _apply_factors(((j, self.mats[j]),), psi, scratch)
                 if s is None:
-                    s = y if dies else scratch.take(dtype)
-                    np.multiply(y, c, out=s)
+                    s = np.multiply(ys[j], c, out=scratch.take(dtype))
                 else:
-                    _axpy(c, y, s)
-                    if dies:
-                        scratch.give(y)
+                    _axpy(c, ys[j], s)
+                if self._last[j] == r:
+                    scratch.give(ys.pop(j))
             w = _apply_axis(self.mats[i], s, i, scratch.take(dtype))
             out += w
-            scratch.give(s, w)
+            scratch.give(w, s)
 
 
 class ProductOperator:
@@ -687,6 +690,7 @@ def eigensolve(
     does not converge or when a returned pair's residual exceeds
     RESIDUAL_FACTOR * max(tol, eps) * max(1, |E|).
     """
+    _check_integer("k", k)
     if k < 1:
         raise ValueError(f"k = {k} must be at least 1")
     if op.dim < k:
@@ -826,6 +830,8 @@ def reduced_density_matrix(result: SpectrumResult, state: int, mode: int) -> np.
     The Hermitian (d, d) matrix over the mode's retained states; its real
     diagonal holds the populations.
     """
+    _check_integer("state", state)
+    _check_integer("mode", mode)
     k = result.eigenvalues.shape[0]
     if not 0 <= state < k:
         raise IndexError(f"state {state} out of range (k = {k})")

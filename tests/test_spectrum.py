@@ -3,6 +3,7 @@ and adaptive cutoffs."""
 
 import dataclasses
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -700,6 +701,17 @@ def test_eigensolve_rejects_k_below_one():
         eigensolve(assembled(coupled_pair(), [3, 3]), k=0)
 
 
+@pytest.mark.parametrize(
+    "d,k", [(6, 2.5), (3, 2.5), (3, True), (3, 2.0)],
+    ids=["arpack-fractional", "dense-fractional", "boolean", "integral-float"],
+)
+def test_eigensolve_rejects_a_k_that_is_not_an_integer(fluxonium, d, k):
+    # unchecked, ARPACK died with a SystemError on 2.5, the dense branch
+    # returned 2 levels for 2.5 and 1 for True
+    with pytest.raises(ValueError, match=rf"^k = {k!r} must be an integer$"):
+        scmodes.solve(fluxonium, [d] * 5, k=k)
+
+
 def assembled(H, dims):
     builder = make_locals_builder(H)
     locs = [builder(m, d) for m, d in enumerate(dims)]
@@ -775,6 +787,32 @@ def test_to_dense_of_complex_operator_equals_complex_identity_product(fluxonium,
 def test_to_dense_of_real_operator_is_real(fluxonium, cpb):
     for case in ("fs", "cpb", "charge-harmonic"):
         assert small_operator(case, fluxonium, cpb).to_dense().dtype == np.float64, case
+
+
+def to_dense_peak(op):
+    """The traced peak of ``op.to_dense()`` in units of one real dim x dim array."""
+    tracemalloc.start()
+    try:
+        op.to_dense()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (op.dim**2 * np.dtype(np.float64).itemsize)
+
+
+@pytest.mark.parametrize(
+    "case,dims,arrays",
+    [("fluxonium-fs", [6, 6, 4, 3, 2], 7), ("cpb", [40, 40], 4)],
+    ids=["fs-fluxonium", "reduced-cpb"],
+)
+def test_to_dense_holds_only_the_arrays_that_must_coexist(fluxonium, cpb, case, dims, arrays):
+    # fs: the identity, the result, the two complex arrays a cosine chain
+    # alternates between (the first holds the identity cast for the first
+    # complex factor) and one real array for the single-mode terms.  cpb:
+    # the identity, the result, Y_1 and the row's product.  0.01 allows
+    # for the factor matrices.
+    op = assembled(oracle_hamiltonian(case, fluxonium, cpb), dims)
+    assert to_dense_peak(op) <= arrays + 0.01
 
 
 def test_eigensolve_rejects_large_residual(monkeypatch):
@@ -1125,6 +1163,20 @@ def test_partial_trace_matches_dense_reshape_oracle():
         reduced_density_matrix(res, 3, 0)
     with pytest.raises(IndexError, match="^mode 2 out of range$"):
         reduced_density_matrix(res, 0, 2)
+
+
+@pytest.mark.parametrize(
+    "state,mode,name",
+    [(0, 1.5, "mode"), (0, True, "mode"), (True, 0, "state"), (1.0, 0, "state")],
+    ids=["fractional-mode", "boolean-mode", "boolean-state", "integral-float-state"],
+)
+def test_reduced_density_matrix_rejects_indices_that_are_not_integers(state, mode, name):
+    # unchecked, mode 1.5 returned the squared norm as a 0-d array, mode True
+    # mode 1's matrix, and state True failed in a reshape
+    res = scmodes.solve(coupled_pair(), [3, 3], k=2)
+    value = state if name == "state" else mode
+    with pytest.raises(ValueError, match=rf"^{name} = {value!r} must be an integer$"):
+        reduced_density_matrix(res, state, mode)
 
 
 def test_fluxonium_ground_mode_populations_coincide(fluxonium):

@@ -9,12 +9,14 @@ without a drive has a real Hamiltonian and adds nothing complex to the
 operator.  The coupled Hamiltonian is assembled in the product of the
 retained bases as a sum of tensor products of local operators, applied
 matrix-free.  Small systems, and requests for more than a fifth of the
-levels, are materialized and solved densely.  Larger ones whose couplings
-are all cosines go through scipy's LOBPCG with the product diagonal, the
-summed local energies, as preconditioner: each cosine coupling is
-bounded by its junction energy at every cutoff, so in a decoupled basis
-the diagonal is nearly the whole operator.  Larger ones with quadratic
-couplings, which grow with the cutoff, go through ARPACK.
+levels, are materialized and solved densely; for an operator whose
+couplings are all cosines, small means below its measured crossover with
+LOBPCG, which grows with the number of levels asked for.  Larger ones
+whose couplings are all cosines go through scipy's LOBPCG with the
+product diagonal, the summed local energies, as preconditioner: each
+cosine coupling is bounded by its junction energy at every cutoff, so in
+a decoupled basis the diagonal is nearly the whole operator.  Larger ones
+with quadratic couplings, which grow with the cutoff, go through ARPACK.
 A sequence of solves at growing or shrinking cutoffs (the adaptive
 search, a cutoff sweep) starts each iterative solve from the previous
 solution, carried over by ``embed``.
@@ -59,6 +61,18 @@ COEFF_DROP_TOL = 1e-10
 COUPLING_DROP_RTOL = 1e-12
 
 DENSE_LIMIT = 4096
+
+# An operator whose couplings are all cosines is solved densely only up to
+# max(_COSINE_DENSE_FLOOR, _COSINE_DENSE_PER_LEVEL * k) dimensions, and
+# never above DENSE_LIMIT: its measured crossover with LOBPCG, whose cost
+# grows with k while dense eigh's does not.  On the fs fluxonium pair (one
+# BLAS thread) dense won at 256 dims and k = 4 (6.6 against 9.0 ms) and
+# lost at 432 (21 against 9.2 ms) and at 1 344 (366 against 18 ms); at
+# k = 20 the two tied at 864 dims, at k = 50 dense won at 1 024.  LOBPCG
+# also missed its tolerance at dim / k of 27 to 35 (k = 50 at 1 344 and
+# 1 600 dims, k = 72 at 2 500), which 50 dims per level keep dense.
+_COSINE_DENSE_FLOOR = 320
+_COSINE_DENSE_PER_LEVEL = 50
 
 SOLVE_TOL = 1e-9  # default eigensolver tolerance
 
@@ -659,13 +673,17 @@ def _lobpcg(op: ProductOperator, k: int, tol: float, start) -> tuple[np.ndarray,
 def eigensolve(
     op: ProductOperator, k: int, tol: float = SOLVE_TOL, start: np.ndarray | None = None
 ) -> SpectrumResult:
-    """k lowest eigenpairs by one of three branches, chosen from op alone.
+    """k lowest eigenpairs by one of three branches, chosen from op and k.
 
-    - Up to DENSE_LIMIT dimensions, or when k > dim / 5: dense ``eigh`` of
-      the materialized operator as built, k pairs only (``eigh`` reads one
-      triangle).  Above a fifth of the levels LOBPCG would itself fall back
-      to a dense solve, one matvec per unit vector, and ARPACK's 2k + 1
-      Krylov vectors would span over two fifths of the space.
+    - Dense ``eigh`` of the materialized operator as built, k pairs only
+      (``eigh`` reads one triangle), when k > dim / 5 or when dim is at
+      most the operator's dense limit.  Above a fifth of the levels LOBPCG
+      would itself fall back to a dense solve, one matvec per unit vector,
+      and ARPACK's 2k + 1 Krylov vectors would span over two fifths of
+      the space.  The dense limit is DENSE_LIMIT for an operator with a
+      quadratic coupling; for one whose couplings are all cosines it is
+      the measured crossover with LOBPCG, max(320, 50 k) capped at
+      DENSE_LIMIT (see _COSINE_DENSE_PER_LEVEL).
     - Otherwise, when every coupling is a cosine (no quadratic form):
       LOBPCG (:func:`_lobpcg`), preconditioned by the product diagonal.
       A cosine coupling is bounded by its junction energy at every cutoff,
@@ -676,7 +694,12 @@ def eigensolve(
       grows with the cutoff, as the charge and flux operators do, so the
       diagonal preconditions poorly: with k = 4 LOBPCG took 1.8-1.9
       times ARPACK's time on the undecoupled fluxonium pair at 7 776 to
-      32 768 dims and 1.1 times on its SAD form at 32 768.
+      32 768 dims and 1.1 times on its SAD form at 32 768.  Such an
+      operator stays dense up to DENSE_LIMIT because neither iterative
+      solver is safe there: LOBPCG did not converge on the undecoupled
+      pair at k = 10 (576 to 3 125 dims), and ARPACK's single-vector
+      Lanczos missed an exact degenerate copy of three equally
+      charge-coupled oscillators at 1 728 dims.
 
     ``start`` is an optional (dim,) vector or (dim, m) block close to the
     wanted eigenvectors, such as the previous solution of a sweep carried
@@ -696,11 +719,14 @@ def eigensolve(
     if op.dim < k:
         raise ValueError(f"operator dimension {op.dim} is smaller than k = {k}")
     factor = RESIDUAL_FACTOR
-    if op.dim <= DENSE_LIMIT or 5 * k > op.dim:
+    quadratic = any(isinstance(t, _QuadraticForm) for t in op._terms)
+    limit = DENSE_LIMIT if quadratic else min(
+        DENSE_LIMIT, max(_COSINE_DENSE_FLOOR, _COSINE_DENSE_PER_LEVEL * k))
+    if op.dim <= limit or 5 * k > op.dim:
         evals, evecs = scipy.linalg.eigh(
             op.to_dense(), overwrite_a=True, subset_by_index=[0, k - 1]
         )
-    elif not any(isinstance(t, _QuadraticForm) for t in op._terms):
+    elif not quadratic:
         evals, evecs = _lobpcg(op, k, tol, start)
         factor = 1  # LOBPCG's own stopping rule, checked
     else:

@@ -746,9 +746,10 @@ def projector(vectors):
 )
 @pytest.mark.parametrize("k_from_dim", [lambda d: 3, lambda d: d - 1, lambda d: d],
                          ids=["k=3", "k=dim-1", "k=dim"])
-def test_dense_branch_matches_full_eigh(fluxonium, cpb, case, dtype, k_from_dim):
+def test_dense_branch_matches_full_eigh(
+        fluxonium, cpb, arpack_refused, lobpcg_refused, case, dtype, k_from_dim):
     op = small_operator(case, fluxonium, cpb)
-    assert op.dtype == dtype and op.dim <= spectrum.DENSE_LIMIT
+    assert op.dtype == dtype
     k = k_from_dim(op.dim)
     ref_vals, ref_vecs = np.linalg.eigh(op.to_dense())
     res = eigensolve(op, k=k)
@@ -942,6 +943,10 @@ def test_more_than_a_fifth_of_cosine_coupled_levels_go_dense(
         fluxonium, monkeypatch, lobpcg_refused):
     # At 5 k > dim LOBPCG falls back to its own dense solve, one matvec per
     # unit vector, and warns as on a miss; the dense branch takes it first.
+    # Below DENSE_LIMIT a cosine-coupled operator with 5 k > dim is under
+    # its crossover of 50 k dims anyway, so the guard acts only above
+    # DENSE_LIMIT, which caps the crossover: patched to 64, it puts k = 48
+    # at 243 dims on LOBPCG.
     monkeypatch.setattr(spectrum, "DENSE_LIMIT", 64)
     op = assembled(scmodes.full_symplectic(fluxonium).H_out, [3] * 5)
     assert op.dim == 243 and not has_quadratic_form(op)
@@ -961,6 +966,73 @@ def test_more_than_a_fifth_of_quadratic_coupled_levels_go_dense(monkeypatch, arp
     np.testing.assert_allclose(res.eigenvalues, ref_vals[:8], rtol=0, atol=1e-10)
     with pytest.raises(AssertionError, match="eigsh reached"):
         eigensolve(op, k=7)  # 5 * 7 = 35 <= 36
+
+
+@pytest.fixture
+def lobpcg_calls(monkeypatch):
+    """spectrum's lobpcg, counting its calls in the list it returns."""
+    calls = []
+    lobpcg = spectrum.scipy.sparse.linalg.lobpcg
+
+    def recording(*args, **kwargs):
+        calls.append(1)
+        return lobpcg(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum.scipy.sparse.linalg, "lobpcg", recording)
+    return calls
+
+
+def fs_operator(fluxonium, dims):
+    op = assembled(scmodes.full_symplectic(fluxonium).H_out, dims)
+    assert not has_quadratic_form(op)
+    return op
+
+
+def test_cosine_coupled_operator_above_its_crossover_reaches_lobpcg(fluxonium, lobpcg_calls):
+    # 576 > max(320, 50 * 4), where LOBPCG took a quarter of dense's time
+    op = fs_operator(fluxonium, [4, 4, 4, 3, 3])
+    assert op.dim == 576
+    res = eigensolve(op, k=4)
+    assert len(lobpcg_calls) == 1
+    ref_vals = np.linalg.eigh(op.to_dense())[0]
+    np.testing.assert_allclose(res.eigenvalues, ref_vals[:4], rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "dims,k", [([4, 4, 4, 3, 3], 20), ([4, 4, 5, 2, 2], 1)], ids=["576-k20", "320-k1"])
+def test_cosine_coupled_operator_below_its_crossover_stays_dense(
+        fluxonium, lobpcg_refused, dims, k):
+    # 576 <= 50 * 20, where LOBPCG took twice dense's time; 320 is the
+    # floor, where the two tied at k = 4
+    op = fs_operator(fluxonium, dims)
+    assert op.dim <= max(320, 50 * k)
+    res = eigensolve(op, k=k)
+    ref_vals = np.linalg.eigh(op.to_dense())[0]
+    np.testing.assert_allclose(res.eigenvalues, ref_vals[:k], rtol=0, atol=1e-10)
+
+
+def test_quadratic_coupled_operator_stays_dense_up_to_the_limit(arpack_refused, lobpcg_refused):
+    # Why a quadratic coupling keeps DENSE_LIMIT: at 1 728 dims ARPACK
+    # returns one copy of the doubly degenerate first excited level, so its
+    # last two levels come out 0.29 and 0.61 too high.
+    op = assembled(identical_oscillators(3, charge_coupling=0.2), [12] * 3)
+    assert op.dim == 1728 and has_quadratic_form(op)
+    w_sym, w_pair = np.sqrt(1.4), np.sqrt(0.8)
+    ground = (w_sym + 2 * w_pair) / 2
+    res = eigensolve(op, k=4)
+    np.testing.assert_allclose(
+        res.eigenvalues, [ground, ground + w_pair, ground + w_pair, ground + w_sym], atol=1e-8)
+
+
+def test_adaptive_fs_solve_forms_no_dense_matrix(fluxonium, monkeypatch, lobpcg_calls):
+    # The final solve of the fs search, 1 344 dims at k = 4, is LOBPCG's,
+    # at a twentieth of the time of to_dense and eigh.
+    def refused(self):
+        raise AssertionError("to_dense reached")
+
+    monkeypatch.setattr(spectrum.ProductOperator, "to_dense", refused)
+    res = scmodes.solve(scmodes.full_symplectic(fluxonium).H_out, [16, 14, 3, 2, 1], k=4)
+    assert np.prod(res.cutoffs) == 1344 and len(lobpcg_calls) == 1
 
 
 def test_exact_warm_start_converges_within_one_search_space(fluxonium):

@@ -229,9 +229,14 @@ def build_local_mode(
     -max(40, 2*keep) .. max(40, 2*keep).  ``primitive_dim`` overrides the
     size: that many oscillator states, or charges +-(primitive_dim - 1)//2.
     Phase factors exp(i*a*phi) are prepared for every local cosine
-    coefficient.  ``keep`` must be an integer in [1, dim] (``ValueError``).  A
-    charge-basis mode takes no linear flux term and only nonzero integer
-    cosine coefficients (:class:`BasisMismatchError`).
+    coefficient, and in both bases each local cos(a*phi) enters as the
+    real part of its phase factor.  The oscillator forms exp(i*a*phi) from
+    the real products U cos(a x) U^T and U sin(a x) U^T over the
+    eigendecomposition U diag(x) U^T of phi, so that this real part is
+    the cosine matrix itself, not the real part of one complex product,
+    which differs by rounding.  ``keep`` must be an integer in [1, dim]
+    (``ValueError``).  A charge-basis mode takes no linear flux term and
+    only nonzero integer cosine coefficients (:class:`BasisMismatchError`).
 
     Every mode takes one eigh of its primitive Hamiltonian, whose lowest
     ``keep`` eigenvectors P project each operator X as P^H X P.  The charge
@@ -265,8 +270,8 @@ def build_local_mode(
         cos_terms += [(energy, sign, a) for m, a in local_terms if m == mode]
 
     # Each basis gives H_prim without cosines and drive, phi (None in the
-    # charge basis), n, and exp(i*a*phi) and cos(a*phi) as functions of a;
-    # the charge basis's cos(a*phi) reads exp(i*a*phi) from ``phases``.
+    # charge basis), n, and exp(i*a*phi) as a function of a, whose real part
+    # is cos(a*phi).
     if harmonic:
         z = np.sqrt(c_ii / m_ii)  # impedance
         ladder = np.diag(np.sqrt(np.arange(1, dim)), 1)  # annihilation
@@ -274,8 +279,7 @@ def build_local_mode(
         n = 1j * (np.sqrt(1.0 / (2.0 * z)) * (ladder.T - ladder))
         H_prim = np.diag(np.sqrt(c_ii * m_ii) * (np.arange(dim) + 0.5)) + flux_lin * phi
         xs, U = np.linalg.eigh(phi)
-        cos = lambda a: (U * np.cos(a * xs)) @ U.T  # noqa: E731
-        exp = lambda a: (U * np.exp(1j * a * xs)) @ U.T  # noqa: E731
+        exp = lambda a: (U * np.cos(a * xs)) @ U.T + 1j * ((U * np.sin(a * xs)) @ U.T)  # noqa: E731
     else:
         if flux_lin != 0.0:
             raise BasisMismatchError(
@@ -301,15 +305,14 @@ def build_local_mode(
         across = 1j * (odd.astype(float) - odd[:, None])
         charges = np.arange(-max_charge, max_charge + 1, dtype=float)
         phi = None
-        n = across * (Q.T @ np.diag(charges) @ Q)
-        H_prim = within * (Q.T @ np.diag(0.5 * c_ii * charges**2) @ Q)
-        # exp(i*a*phi): |m> -> |m + a>; cos(a*phi) is its even part
+        n = across * ((Q.T * charges) @ Q)
+        H_prim = within * ((Q.T * (0.5 * c_ii * charges**2)) @ Q)
+        # exp(i*a*phi): |m> -> |m + a>
         exp = lambda a: (within + across) * (Q.T @ np.eye(dim, k=-round(a)) @ Q)  # noqa: E731
-        cos = lambda a: phases[a].real  # noqa: E731
 
     phases = {a: exp(a) for a in sorted({a for _, _, a in cos_terms})}
     for energy, sign, a in cos_terms:
-        H_prim -= sign * energy * cos(a)
+        H_prim -= sign * energy * phases[a].real
     if drive != 0.0:
         H_prim = H_prim - drive * n
     evals, evecs = np.linalg.eigh(H_prim)
@@ -776,20 +779,22 @@ def eigensolve(
 def make_locals_builder(H: CircuitHamiltonian):
     """Builder (mode, keep) -> LocalMode that caches and truncates.
 
-    The primitive diagonalization is mode-local, so a larger previously
-    built mode is sliced instead of rebuilt.  A larger request rebuilds
-    the mode.  Up to keep 50 on a harmonic mode and 20 on a charge mode
-    the primitive basis keeps its default size and the retained states are
-    the old ones; above, each rebuild has a larger primitive basis, and
-    its states differ from the old ones by the truncation error and
-    possibly by a sign each.
+    The primitive diagonalization is mode-local, so each mode is built
+    once, retaining at least 50 states (a quarter of the default
+    oscillator basis, which resolves them), and every request up to the
+    retained count is sliced from that build.  A larger request rebuilds
+    the mode in a larger primitive basis, whose states differ from the
+    old ones by the truncation error and possibly by a sign each.  The
+    cutoff rule is applied before any build, with no upper bound
+    (``ValueError``).
     """
     cache: dict[int, LocalMode] = {}
 
     def build(mode: int, keep: int) -> LocalMode:
+        _check_cutoff(mode, keep, math.inf)
         cached = cache.get(mode)
         if cached is None or cached.dim < keep:
-            cached = build_local_mode(H, mode, keep=keep)
+            cached = build_local_mode(H, mode, keep=max(keep, _HO_DEFAULT_DIM // 4))
             cache[mode] = cached
         return cached.truncated(keep)
 
@@ -833,8 +838,8 @@ def embed(vectors: np.ndarray, old_dims, new_dims) -> np.ndarray:
     Each mode's axis is zero-padded or truncated to its new dimension.
     Between bases of one ``make_locals_builder`` this is exact while no
     mode was rebuilt in a larger primitive basis, since the retained states
-    are then nested.  Across such a rebuild (above keep 50 on a harmonic
-    mode, as from cutoff 32 to 64) a state may change sign, so the block
+    are then nested: up to cutoff 50 on either kind of mode.  Across such a
+    rebuild (as from cutoff 32 to 64) a state may change sign, so the block
     is then only a start vector, not the previous solution.
     Raises ValueError when the two give different numbers of modes.
     """

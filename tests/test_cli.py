@@ -432,10 +432,10 @@ def test_cutoff_text_must_list_integers(tmp_path, capsys, text):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["spectrum", "--cutoff", "0"], "mode 0: cutoff 0 must be an integer in [1, 200]"),
+        (["spectrum", "--cutoff", "0"], "mode 0: cutoff 0 must be an integer in [1, inf]"),
         (["spectrum", "--cutoff", "3,3"], "2 cutoffs given for 5 modes"),
-        (["rdm", "--cutoff", "4,4,4,4,-1"], "mode 4: cutoff -1 must be an integer in [1, 200]"),
-        (["converge", "--cutoff", "-1"], "mode 0: cutoff -1 must be an integer in [1, 200]"),
+        (["rdm", "--cutoff", "4,4,4,4,-1"], "mode 4: cutoff -1 must be an integer in [1, inf]"),
+        (["converge", "--cutoff", "-1"], "mode 0: cutoff -1 must be an integer in [1, inf]"),
     ],
     ids=["spectrum-zero", "spectrum-too-few", "rdm-negative", "converge-negative"],
 )

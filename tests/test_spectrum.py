@@ -332,12 +332,32 @@ CUTOFF_RULE = r"^mode {}: cutoff {} must be an integer in \[1, {}\]$"
 def test_solve_rejects_cutoffs_outside_the_rule(fluxonium, cutoffs, mode, value):
     # unchecked, -1 slices from the end of the local eigenbasis, int() cuts
     # 3.7 to 3 and True counts as 1
-    with pytest.raises(ValueError, match=CUTOFF_RULE.format(mode, value, 200)):
+    with pytest.raises(ValueError, match=CUTOFF_RULE.format(mode, value, "inf")):
         scmodes.solve(fluxonium, cutoffs, k=1)
 
 
+@pytest.fixture
+def local_builds(monkeypatch):
+    """spectrum's build_local_mode, recording each built mode in the list it returns."""
+    calls = []
+    build = spectrum.build_local_mode
+
+    def recording(H, mode, *args, **kwargs):
+        calls.append(mode)
+        return build(H, mode, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "build_local_mode", recording)
+    return calls
+
+
+def test_solve_rejects_a_cutoff_before_any_build(fluxonium, local_builds):
+    with pytest.raises(ValueError, match=CUTOFF_RULE.format(0, 0, "inf")):
+        scmodes.solve(fluxonium, [0, 4, 4, 4, 4], k=1)
+    assert local_builds == []
+
+
 def test_cutoff_sweep_rejects_zero():
-    with pytest.raises(ValueError, match=CUTOFF_RULE.format(0, 0, 200)):
+    with pytest.raises(ValueError, match=CUTOFF_RULE.format(0, 0, "inf")):
         spectrum_vs_cutoff(coupled_pair(), 2, [0])
 
 
@@ -366,7 +386,7 @@ def test_adaptive_rejects_starting_cutoffs_below_one(fluxonium, monkeypatch, opt
         raise AssertionError("assembled an operator before rejecting the cutoff")
 
     monkeypatch.setattr(spectrum, "assemble_hamiltonian", no_assembly)
-    with pytest.raises(ValueError, match=CUTOFF_RULE.format(0, value, 200)):
+    with pytest.raises(ValueError, match=CUTOFF_RULE.format(0, value, "inf")):
         adaptive_cutoffs(fluxonium, **options)
 
 
@@ -1177,6 +1197,14 @@ def test_start_in_one_parity_sector_still_finds_all_levels():
 def test_warm_started_adaptive_cutoffs_unchanged(fluxonium):
     H = scmodes.full_symplectic(fluxonium).H_out
     assert adaptive_cutoffs(H, epsilon=1e-8) == (16, 14, 3, 2, 1)
+
+
+def test_adaptive_search_builds_each_mode_once(fluxonium, local_builds):
+    # its working dimensions reach 32, within the 50 states every build
+    # retains, so the growths to 16 and 32 slice the first builds
+    H = scmodes.full_symplectic(fluxonium).H_out
+    assert adaptive_cutoffs(H, epsilon=1e-8) == (16, 14, 3, 2, 1)
+    assert local_builds == [0, 1, 2, 3, 4]
 
 
 def test_sequences_solve_once_per_point_through_module_eigensolve(fluxonium, monkeypatch):

@@ -36,6 +36,7 @@ contiguous array and adds its result into the output in place.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import warnings
@@ -82,8 +83,10 @@ ADAPTIVE_EPSILON = 1e-17  # default population threshold of adaptive_cutoffs
 # tolerances (at least machine epsilon), times max(1, |E|), is rejected.
 RESIDUAL_FACTOR = 100
 
-_HO_DEFAULT_DIM = 200
-_CHARGE_DEFAULT_MAX = 40
+# A default primitive basis is sized for max(keep, _MIN_KEEP) retained
+# states: four oscillator states or two charges of each sign per state.
+# The builder of make_locals_builder retains at least this many.
+_MIN_KEEP = 50
 
 # Fixed seed of the iterative solvers' random start vectors, so that
 # commands are reproducible.  Without a start ARPACK's is the whole starting
@@ -225,9 +228,9 @@ def build_local_mode(
     gives this mode.  The primitive basis is decided from H alone.  A mode
     with a diagonal flux term, M0_ii > 1e-10 * max(1, max|M0|), gets the
     harmonic-oscillator basis of 1/2 C_inv_ii n^2 + 1/2 M0_ii phi^2 with
-    max(200, 4*keep) states; any other mode gets the charge states
-    -max(40, 2*keep) .. max(40, 2*keep).  ``primitive_dim`` overrides the
-    size: that many oscillator states, or charges +-(primitive_dim - 1)//2.
+    4 * max(keep, 50) states; any other mode gets the charge states
+    -2 * max(keep, 50) .. 2 * max(keep, 50).  ``primitive_dim`` overrides
+    the size: that many oscillator states, or charges +-(primitive_dim - 1)//2.
     Phase factors exp(i*a*phi) are prepared for every local cosine
     coefficient, and in both bases each local cos(a*phi) enters as the
     real part of its phase factor.  The oscillator forms exp(i*a*phi) from
@@ -253,10 +256,10 @@ def build_local_mode(
     c_ii, m_ii = float(H.C_inv[mode, mode]), float(H.M0[mode, mode])
     harmonic = m_ii > 1e-10 * max(1.0, np.abs(H.M0).max())
     if harmonic:
-        dim = primitive_dim or max(_HO_DEFAULT_DIM, 4 * keep)
+        dim = primitive_dim or 4 * max(keep, _MIN_KEEP)
     else:
         if primitive_dim is None:
-            max_charge = max(_CHARGE_DEFAULT_MAX, 2 * keep)
+            max_charge = 2 * max(keep, _MIN_KEEP)
         else:
             max_charge = max(1, (primitive_dim - 1) // 2)
         dim = 2 * max_charge + 1
@@ -536,17 +539,24 @@ class _QuadraticForm:
 class ProductOperator:
     """Hermitian operator on a tensor-product space, applied matrix-free.
 
-    Holds a diagonal (the summed local energies) plus a list of terms: one
-    quadratic form per coupling kind, each multi-mode cosine coupling as
-    the Hermitian part of a tensor product of per-mode matrices, and one
-    matrix per mode for the single-mode cosine parts.  Real throughout
-    whenever every term is.
+    It is a diagonal, the summed local energies shaped by the modes' cutoffs,
+    plus a list of terms: one quadratic form per coupling kind, each
+    multi-mode cosine coupling as the Hermitian part of a tensor product of
+    per-mode matrices, and one matrix per mode for the single-mode cosine
+    parts.  Every other fact follows from these two and is set here alone:
+    ``dims`` (a tuple of ints) and ``dim`` from the diagonal's shape,
+    ``dtype`` float64 when every term is real and complex128 otherwise,
+    ``quadratic`` whether a quadratic form survived among the terms, and
+    ``diagonal``, the flat diagonal as a read-only view.
     """
 
-    def __init__(self, dims, diag, terms, dtype):
-        self.dims = tuple(int(d) for d in dims)
-        self.dim = int(np.prod(self.dims))
-        self.dtype = dtype
+    def __init__(self, diag: np.ndarray, terms):
+        self.dims = tuple(int(d) for d in diag.shape)
+        self.dim = int(diag.size)
+        self.dtype = np.float64 if all(t.is_real for t in terms) else np.complex128
+        self.quadratic = any(isinstance(t, _QuadraticForm) for t in terms)
+        self.diagonal = diag.reshape(-1)
+        self.diagonal.flags.writeable = False
         self._diag = diag[..., np.newaxis]  # shaped ``dims + (1,)``
         self._terms = terms  # list of _QuadraticForm and _Term
 
@@ -581,17 +591,19 @@ def assemble_hamiltonian(
     H: CircuitHamiltonian,
     couplings: CouplingSet,
 ) -> ProductOperator:
-    """Assemble the coupled Hamiltonian in the retained product basis."""
-    n = H.n
-    if len(locals_) != n or any(loc.mode_index != m for m, loc in enumerate(locals_)):
-        raise ValueError("one LocalMode per mode, ordered by mode index, is required")
-    dims = tuple(loc.dim for loc in locals_)
+    """Assemble the coupled Hamiltonian in the retained product basis.
 
-    diag = np.zeros(dims)
-    for axis, loc in enumerate(locals_):
-        shape = [1] * n
-        shape[axis] = loc.dim
-        diag = diag + loc.energies.reshape(shape)
+    The diagonal is the outer sum of the local energies, E_0 + E_1 + ...
+    added left to right; with one mode it is that mode's energies array
+    itself, which the operator only reads.  The terms are one
+    :class:`_QuadraticForm` per coupling kind with pairs, one Hermitian
+    :class:`_Term` per multi-mode cosine coupling and one per mode for the
+    summed single-mode cosine parts.  The operator works out its shape,
+    dtype and coupling kind from these two (:class:`ProductOperator`).
+    """
+    if len(locals_) != H.n or any(loc.mode_index != m for m, loc in enumerate(locals_)):
+        raise ValueError("one LocalMode per mode, ordered by mode index, is required")
+    diag = functools.reduce(np.add.outer, [loc.energies for loc in locals_])
 
     terms: list = [
         _QuadraticForm(locals_, attr, pairs)
@@ -611,9 +623,7 @@ def assemble_hamiltonian(
     for m in sorted(single):
         phase, mat = _phase_split(single[m])
         terms.append(_Term(((m, mat),), phase))
-
-    dtype = np.float64 if all(t.is_real for t in terms) else np.complex128
-    return ProductOperator(dims, diag, terms, dtype)
+    return ProductOperator(diag, terms)
 
 
 @dataclass(frozen=True)
@@ -644,7 +654,7 @@ def _lobpcg(op: ProductOperator, k: int, tol: float, start) -> tuple[np.ndarray,
     reports by a warning and its best iterate, raises
     :class:`EigensolverConvergenceError` with the k residuals.
     """
-    diag = op._diag.reshape(-1)
+    diag = op.diagonal
     cols = np.zeros((op.dim, 0)) if start is None else np.asarray(start).reshape(op.dim, -1)[:, :k]
     lowest = np.argpartition(diag, k - 1)[:k]
     units = np.zeros((op.dim, k), op.dtype)
@@ -722,14 +732,13 @@ def eigensolve(
     if op.dim < k:
         raise ValueError(f"operator dimension {op.dim} is smaller than k = {k}")
     factor = RESIDUAL_FACTOR
-    quadratic = any(isinstance(t, _QuadraticForm) for t in op._terms)
-    limit = DENSE_LIMIT if quadratic else min(
+    limit = DENSE_LIMIT if op.quadratic else min(
         DENSE_LIMIT, max(_COSINE_DENSE_FLOOR, _COSINE_DENSE_PER_LEVEL * k))
     if op.dim <= limit or 5 * k > op.dim:
         evals, evecs = scipy.linalg.eigh(
             op.to_dense(), overwrite_a=True, subset_by_index=[0, k - 1]
         )
-    elif not quadratic:
+    elif not op.quadratic:
         evals, evecs = _lobpcg(op, k, tol, start)
         factor = 1  # LOBPCG's own stopping rule, checked
     else:
@@ -780,13 +789,12 @@ def make_locals_builder(H: CircuitHamiltonian):
     """Builder (mode, keep) -> LocalMode that caches and truncates.
 
     The primitive diagonalization is mode-local, so each mode is built
-    once, retaining at least 50 states (a quarter of the default
-    oscillator basis, which resolves them), and every request up to the
-    retained count is sliced from that build.  A larger request rebuilds
-    the mode in a larger primitive basis, whose states differ from the
-    old ones by the truncation error and possibly by a sign each.  The
-    cutoff rule is applied before any build, with no upper bound
-    (``ValueError``).
+    once, retaining at least 50 states, as many as its default primitive
+    basis is sized for, and every request up to the retained count is
+    sliced from that build.  A larger request rebuilds the mode in a
+    larger primitive basis, whose states differ from the old ones by the
+    truncation error and possibly by a sign each.  The cutoff rule is
+    applied before any build, with no upper bound (``ValueError``).
     """
     cache: dict[int, LocalMode] = {}
 
@@ -794,7 +802,7 @@ def make_locals_builder(H: CircuitHamiltonian):
         _check_cutoff(mode, keep, math.inf)
         cached = cache.get(mode)
         if cached is None or cached.dim < keep:
-            cached = build_local_mode(H, mode, keep=max(keep, _HO_DEFAULT_DIM // 4))
+            cached = build_local_mode(H, mode, keep=max(keep, _MIN_KEEP))
             cache[mode] = cached
         return cached.truncated(keep)
 
@@ -804,10 +812,13 @@ def make_locals_builder(H: CircuitHamiltonian):
 def _warm_solver(H: CircuitHamiltonian, build, tol: float):
     """solve_at(cutoffs, k): the k lowest eigenpairs of H at per-mode cutoffs.
 
-    Modes come from one builder ``build`` and couplings from one
-    :class:`CouplingSet`; each solve after the first starts from the last
-    result carried over by :func:`embed`.  The caller validates H.
+    H is validated here, once per step and before any build
+    (:class:`~scmodes.model.InvalidHamiltonianError`), so each driver
+    creates its step before it builds a mode.  Modes come from one builder
+    ``build`` and couplings from one :class:`CouplingSet`; each solve after
+    the first starts from the last result carried over by :func:`embed`.
     """
+    require_valid(H)
     couplings = CouplingSet.from_hamiltonian(H)
     last = None
 
@@ -826,10 +837,10 @@ def solve(H: CircuitHamiltonian, cutoffs, k: int = 10, tol: float = SOLVE_TOL) -
 
     A warm-started solve is ``eigensolve(op, k, start=embed(...))``.
     """
-    require_valid(H)
+    solve_at = _warm_solver(H, make_locals_builder(H), tol)
     if len(cutoffs) != H.n:
         raise ValueError(f"{len(cutoffs)} cutoffs given for {H.n} modes")
-    return _warm_solver(H, make_locals_builder(H), tol)(cutoffs, k)
+    return solve_at(cutoffs, k)
 
 
 def embed(vectors: np.ndarray, old_dims, new_dims) -> np.ndarray:
@@ -902,7 +913,6 @@ def adaptive_cutoffs(
         raise ValueError("epsilon must be positive")
     if not epsilon < 1:  # no population exceeds 1
         raise ValueError("epsilon must be below 1")
-    require_valid(H)
     solve_at = _warm_solver(H, make_locals_builder(H), SOLVE_TOL)
     work = [min(d_init, d_max)] * H.n
     for _ in range(max_rounds):
@@ -936,11 +946,10 @@ def spectrum_vs_cutoff(H: CircuitHamiltonian, k: int, d_values) -> list[tuple[in
     one nested basis, and each solve after the first starts from the
     previous point's k eigenvectors, embedded in the new cutoffs.
     """
-    require_valid(H)
     d_values = list(d_values)
     build = make_locals_builder(H)
+    solve_at = _warm_solver(H, build, SOLVE_TOL)
     if d_values:
         for m in range(H.n):
             build(m, max(d_values))
-    solve_at = _warm_solver(H, build, SOLVE_TOL)
     return [(d, solve_at((d,) * H.n, k).eigenvalues) for d in d_values]

@@ -8,15 +8,18 @@ operator is i times a real matrix, as a harmonic mode's is, and a mode
 without a drive has a real Hamiltonian and adds nothing complex to the
 operator.  The coupled Hamiltonian is assembled in the product of the
 retained bases as a sum of tensor products of local operators, applied
-matrix-free.  Small systems, and requests for more than a fifth of the
-levels, are materialized and solved densely; for an operator whose
-couplings are all cosines, small means below its measured crossover with
-LOBPCG, which grows with the number of levels asked for.  Larger ones
-whose couplings are all cosines go through scipy's LOBPCG with the
-product diagonal, the summed local energies, as preconditioner: each
-cosine coupling is bounded by its junction energy at every cutoff, so in
-a decoupled basis the diagonal is nearly the whole operator.  Larger ones
-with quadratic couplings, which grow with the cutoff, go through ARPACK.
+matrix-free.  The route to an eigensolver follows one measured property
+of the operator, its coupling ratio: the largest |c_ij| / sqrt(c_ii c_jj)
+over its quadratic pairs, 0 when none survives.  Small systems, and
+requests for more than a fifth of the levels, are materialized and solved
+densely; for a weakly coupled operator, with a ratio below 0.03, small
+means below its measured crossover with LOBPCG, which grows with the
+number of levels asked for.  Larger weakly coupled ones go through scipy's
+LOBPCG with the product diagonal, the summed local energies, as
+preconditioner: at every cutoff each cosine coupling is bounded by its
+junction energy and each quadratic pair c_ij A_i A_j by the ratio times
+its modes' own terms 1/2 c_ii A_i^2 + 1/2 c_jj A_j^2, so the diagonal is
+nearly the whole operator.  Larger strongly coupled ones go through ARPACK.
 A sequence of solves at growing or shrinking cutoffs (the adaptive
 search, a cutoff sweep) starts each iterative solve from the previous
 solution, carried over by ``embed``.
@@ -63,17 +66,39 @@ COUPLING_DROP_RTOL = 1e-12
 
 DENSE_LIMIT = 4096
 
-# An operator whose couplings are all cosines is solved densely only up to
-# max(_COSINE_DENSE_FLOOR, _COSINE_DENSE_PER_LEVEL * k) dimensions, and
+# A weakly coupled operator (see _WEAK_COUPLING) is solved densely only up
+# to max(_WEAK_DENSE_FLOOR, _WEAK_DENSE_PER_LEVEL * k) dimensions, and
 # never above DENSE_LIMIT: its measured crossover with LOBPCG, whose cost
 # grows with k while dense eigh's does not.  On the fs fluxonium pair (one
 # BLAS thread) dense won at 256 dims and k = 4 (6.6 against 9.0 ms) and
 # lost at 432 (21 against 9.2 ms) and at 1 344 (366 against 18 ms); at
 # k = 20 the two tied at 864 dims, at k = 50 dense won at 1 024.  LOBPCG
 # also missed its tolerance at dim / k of 27 to 35 (k = 50 at 1 344 and
-# 1 600 dims, k = 72 at 2 500), which 50 dims per level keep dense.
-_COSINE_DENSE_FLOOR = 320
-_COSINE_DENSE_PER_LEVEL = 50
+# 1 600 dims, k = 72 at 2 500), which 50 dims per level keep dense.  On
+# the reduced Cooper-pair box at k = 10 dense took 10 / 79 / 399 ms and
+# LOBPCG 14 / 20 / 28 ms at 400 / 900 / 1 600 dims.
+_WEAK_DENSE_FLOOR = 320
+_WEAK_DENSE_PER_LEVEL = 50
+
+# An operator is weakly coupled when its coupling ratio, the largest
+# |c_ij| / sqrt(c_ii c_jj) over its quadratic pairs (0 without one), is
+# below this.  Cold LOBPCG solves at tol 1e-9 (one BLAS thread), k = 4 / 10:
+#   three identical oscillators, C_inv = I + c (J - I), M0 = I, [10]*3:
+#     c = 0.05 both converged; 0.1 failed / converged; 0.2 and 0.3 both
+#     converged; 0.5 converged / failed; 0.7 missed silently (2.41782415
+#     in place of the doubly degenerate 2.41779728, every residual below
+#     1e-9) / failed; 0.9 failed / converged;
+#   the reduced Cooper-pair box at [30, 30], its charge pair scaled to
+#     ratios 0.0075 (its own), 0.05, 0.1, 0.2, 0.3, 0.5, 0.7 and 0.9: all
+#     converged, to 1.5e-13 of dense eigh;
+#   the fluxonium pair at [4]*5: ios (0.500) converged at both, sad
+#     (0.867) and the undecoupled pair (0.945) failed at k = 10.
+# Every failure raised.  The threshold sits over 3 times below the lowest
+# ratio that failed or missed (0.1), and 4 times above the box's.  LOBPCG
+# can also fail, at any ratio and 0 included, where k cuts a degenerate or
+# nearly degenerate multiplet (identical oscillators at c = 0.005 to 0.1,
+# identical cosine-coupled junction modes); it raises there too.
+_WEAK_COUPLING = 0.03
 
 SOLVE_TOL = 1e-9  # default eigensolver tolerance
 
@@ -489,10 +514,14 @@ class _QuadraticForm:
     dtype, the result type of the factors and the coefficients.
     """
 
-    def __init__(self, locals_: list[LocalMode], attr: str, pairs):
+    def __init__(self, locals_: list[LocalMode], attr: str, pairs, scale):
         """The pairs (i, j, coeff) of one kind; A_m is the ``attr`` operator of
-        mode m less its phase, which goes into the coefficients."""
+        mode m less its phase, which goes into the coefficients.  ``scale`` is
+        the diagonal of the kind's matrix, c_ii, and ``coupling_ratio`` the
+        largest |c_ij| / sqrt(c_ii c_jj), infinite where c_ii c_jj is not
+        positive."""
         split, by_row = {}, {}
+        self.coupling_ratio = 0.0
         for i, j, coeff in pairs:
             for mode in (i, j):
                 op = getattr(locals_[mode], attr)
@@ -503,6 +532,9 @@ class _QuadraticForm:
                     )
                 if mode not in split:
                     split[mode] = _phase_split(op)
+            norm = float(scale[i]) * float(scale[j])
+            ratio = abs(coeff) / math.sqrt(norm) if norm > 0 else math.inf
+            self.coupling_ratio = max(self.coupling_ratio, ratio)
             c = coeff * split[i][0] * split[j][0]
             by_row.setdefault(i, []).append((j, c if c.imag else c.real))
         self._dtype = np.result_type(
@@ -546,15 +578,20 @@ class ProductOperator:
     parts.  Every other fact follows from these two and is set here alone:
     ``dims`` (a tuple of ints) and ``dim`` from the diagonal's shape,
     ``dtype`` float64 when every term is real and complex128 otherwise,
-    ``quadratic`` whether a quadratic form survived among the terms, and
-    ``diagonal``, the flat diagonal as a read-only view.
+    ``quadratic`` whether a quadratic form survived among the terms,
+    ``coupling_ratio`` the largest of the forms' ratios
+    |c_ij| / sqrt(c_ii c_jj), 0 without one, and ``diagonal``, the flat
+    diagonal as a read-only view.  The ratio is dimensionless and does
+    not depend on the cutoffs; :func:`eigensolve` routes on it.
     """
 
     def __init__(self, diag: np.ndarray, terms):
         self.dims = tuple(int(d) for d in diag.shape)
         self.dim = int(diag.size)
         self.dtype = np.float64 if all(t.is_real for t in terms) else np.complex128
-        self.quadratic = any(isinstance(t, _QuadraticForm) for t in terms)
+        forms = [t for t in terms if isinstance(t, _QuadraticForm)]
+        self.quadratic = bool(forms)
+        self.coupling_ratio = max((f.coupling_ratio for f in forms), default=0.0)
         self.diagonal = diag.reshape(-1)
         self.diagonal.flags.writeable = False
         self._diag = diag[..., np.newaxis]  # shaped ``dims + (1,)``
@@ -606,8 +643,9 @@ def assemble_hamiltonian(
     diag = functools.reduce(np.add.outer, [loc.energies for loc in locals_])
 
     terms: list = [
-        _QuadraticForm(locals_, attr, pairs)
-        for attr, pairs in (("n_op", couplings.charge), ("phi_op", couplings.flux))
+        _QuadraticForm(locals_, attr, pairs, np.diagonal(mat))
+        for attr, pairs, mat in (
+            ("n_op", couplings.charge, H.C_inv), ("phi_op", couplings.flux, H.M0))
         if pairs
     ]
 
@@ -688,31 +726,37 @@ def eigensolve(
 ) -> SpectrumResult:
     """k lowest eigenpairs by one of three branches, chosen from op and k.
 
+    The operator is weakly coupled when its ``coupling_ratio``, the largest
+    |c_ij| / sqrt(c_ii c_jj) over its quadratic pairs (0 without one), is
+    below _WEAK_COUPLING = 0.03, and strongly coupled otherwise.
+
     - Dense ``eigh`` of the materialized operator as built, k pairs only
       (``eigh`` reads one triangle), when k > dim / 5 or when dim is at
       most the operator's dense limit.  Above a fifth of the levels LOBPCG
       would itself fall back to a dense solve, one matvec per unit vector,
       and ARPACK's 2k + 1 Krylov vectors would span over two fifths of
-      the space.  The dense limit is DENSE_LIMIT for an operator with a
-      quadratic coupling; for one whose couplings are all cosines it is
-      the measured crossover with LOBPCG, max(320, 50 k) capped at
-      DENSE_LIMIT (see _COSINE_DENSE_PER_LEVEL).
-    - Otherwise, when every coupling is a cosine (no quadratic form):
-      LOBPCG (:func:`_lobpcg`), preconditioned by the product diagonal.
-      A cosine coupling is bounded by its junction energy at every cutoff,
-      so the diagonal stays a good approximation of the operator however
-      large the cutoffs grow.  Each pair meets
-      ||H v - E v|| <= tol * max(1, |E|).
-    - Otherwise, with quadratic couplings: ARPACK.  A quadratic coupling
-      grows with the cutoff, as the charge and flux operators do, so the
-      diagonal preconditions poorly: with k = 4 LOBPCG took 1.8-1.9
-      times ARPACK's time on the undecoupled fluxonium pair at 7 776 to
-      32 768 dims and 1.1 times on its SAD form at 32 768.  Such an
-      operator stays dense up to DENSE_LIMIT because neither iterative
-      solver is safe there: LOBPCG did not converge on the undecoupled
-      pair at k = 10 (576 to 3 125 dims), and ARPACK's single-vector
-      Lanczos missed an exact degenerate copy of three equally
-      charge-coupled oscillators at 1 728 dims.
+      the space.  The dense limit of a weakly coupled operator is the
+      measured crossover with LOBPCG, max(320, 50 k) capped at
+      DENSE_LIMIT (see _WEAK_DENSE_PER_LEVEL); that of a strongly
+      coupled one is DENSE_LIMIT.
+    - Otherwise, weakly coupled: LOBPCG (:func:`_lobpcg`), preconditioned
+      by the product diagonal.  At every cutoff a cosine coupling is
+      bounded by its junction energy and a quadratic pair c_ij A_i A_j by
+      the ratio times 1/2 c_ii A_i^2 + 1/2 c_jj A_j^2, so the diagonal
+      stays a good approximation of the operator however large the
+      cutoffs grow.  Each pair meets ||H v - E v|| <= tol * max(1, |E|).
+      The threshold is measured (see _WEAK_COUPLING): LOBPCG failed from
+      a ratio of 0.1 and missed a degenerate copy silently at 0.7, while
+      on the reduced Cooper-pair box (0.0075) it converged at every ratio
+      tried and took 20 ms against dense's 79 ms at 900 dims.
+    - Otherwise, strongly coupled: ARPACK.  With k = 4 LOBPCG took
+      1.8-1.9 times ARPACK's time on the undecoupled fluxonium pair
+      (0.945) at 7 776 to 32 768 dims and 1.1 times on its SAD form
+      (0.867) at 32 768.  Such an operator stays dense up to DENSE_LIMIT
+      because neither iterative solver is safe there: LOBPCG did not
+      converge on the undecoupled pair at k = 10 (576 to 3 125 dims), and
+      ARPACK's single-vector Lanczos missed an exact degenerate copy of
+      three equally charge-coupled oscillators (0.2) at 1 728 dims.
 
     ``start`` is an optional (dim,) vector or (dim, m) block close to the
     wanted eigenvectors, such as the previous solution of a sweep carried
@@ -732,13 +776,14 @@ def eigensolve(
     if op.dim < k:
         raise ValueError(f"operator dimension {op.dim} is smaller than k = {k}")
     factor = RESIDUAL_FACTOR
-    limit = DENSE_LIMIT if op.quadratic else min(
-        DENSE_LIMIT, max(_COSINE_DENSE_FLOOR, _COSINE_DENSE_PER_LEVEL * k))
+    weak = op.coupling_ratio < _WEAK_COUPLING
+    limit = DENSE_LIMIT if not weak else min(
+        DENSE_LIMIT, max(_WEAK_DENSE_FLOOR, _WEAK_DENSE_PER_LEVEL * k))
     if op.dim <= limit or 5 * k > op.dim:
         evals, evecs = scipy.linalg.eigh(
             op.to_dense(), overwrite_a=True, subset_by_index=[0, k - 1]
         )
-    elif not op.quadratic:
+    elif weak:
         evals, evecs = _lobpcg(op, k, tol, start)
         factor = 1  # LOBPCG's own stopping rule, checked
     else:

@@ -702,6 +702,39 @@ def test_flux_coupling_to_charge_mode_rejected(cpb):
         assemble_hamiltonian(locs, bad, CouplingSet.from_hamiltonian(bad))
 
 
+@pytest.mark.parametrize(
+    "case,ratio",
+    [
+        ("cpb", 0.0312 / np.sqrt(3.57 * 4.79)),
+        ("oscillators", 0.2),
+        ("fluxonium-fs", 0.0),
+        ("fluxonium-none", 0.945),
+    ],
+    ids=["cpb", "oscillators", "fluxonium-fs", "fluxonium-none"],
+)
+def test_coupling_ratio_is_the_largest_normalised_pair(fluxonium, cpb, case, ratio):
+    # max |c_ij| / sqrt(c_ii c_jj) over the surviving pairs, C_inv's for a
+    # charge pair and M0's for a flux pair: the box's one charge pair, the
+    # undecoupled pair's strongest charge pair; fs leaves no pair
+    if case == "oscillators":
+        H = identical_oscillators(3, charge_coupling=0.2)
+    else:
+        H = oracle_hamiltonian(case, fluxonium, cpb)
+    ratios = {assembled(H, [d] * H.n).coupling_ratio for d in (3, 6)}
+    assert len(ratios) == 1  # the same at both cutoffs
+    assert ratios.pop() == pytest.approx(ratio, rel=1e-12, abs=0)
+
+
+def test_a_pair_on_a_zero_diagonal_counts_as_strong():
+    # modes built where M0_00 > 0, assembled against an M0 whose 00 entry is
+    # 0: the ratio of the flux pair is infinite, not a ZeroDivisionError
+    H = coupled_pair()
+    locs = [build_local_mode(H, m, keep=6) for m in range(2)]
+    flat = H.replace(M0=np.array([[0.0, 0.2], [0.2, 1.5]]))
+    op = assemble_hamiltonian(locs, flat, CouplingSet.from_hamiltonian(flat))
+    assert op.coupling_ratio == np.inf
+
+
 # ---------------------------------------------------------------------------
 # eigensolve
 # ---------------------------------------------------------------------------
@@ -722,7 +755,8 @@ def test_separable_three_mode_analytic():
 
 
 def test_iterative_path_matches_analytic_sums():
-    # dimension above the dense limit forces ARPACK
+    # dimension above the dense limit forces an iterative solver: LOBPCG,
+    # since a diagonal C_inv and M0 leave no coupling
     H = CircuitHamiltonian(
         kinds=[ModeKind.INDUCTOR] * 5,
         C_inv=np.diag([1.0, 2.0, 3.0, 4.0, 5.0]),
@@ -918,7 +952,8 @@ def test_arpack_non_convergence_reports_pairs_found(monkeypatch, vectors):
 
 
 # ---------------------------------------------------------------------------
-# LOBPCG: operators above DENSE_LIMIT whose couplings are all cosines
+# LOBPCG: weakly coupled operators (coupling ratio below 0.03, cosine
+# couplings included) above their dense limit
 # ---------------------------------------------------------------------------
 
 
@@ -979,6 +1014,7 @@ def test_block_path_matches_eigsh_oracle(fluxonium, arpack_refused, case, dtype)
 def test_only_quadratic_forms_reach_arpack(fluxonium, arpack_refused):
     res = eigensolve(block_operator("fs", fluxonium), k=2)
     assert res.eigenvalues.shape == (2,)
+    # strongly coupled (ratio 0.2), so ARPACK's
     op = assembled(identical_oscillators(3, charge_coupling=0.2), [17] * 3)
     assert op.dim > spectrum.DENSE_LIMIT and has_quadratic_form(op)
     with pytest.raises(AssertionError, match="eigsh reached"):
@@ -1068,9 +1104,9 @@ def test_cosine_coupled_operator_below_its_crossover_stays_dense(
 
 
 def test_quadratic_coupled_operator_stays_dense_up_to_the_limit(arpack_refused, lobpcg_refused):
-    # Why a quadratic coupling keeps DENSE_LIMIT: at 1 728 dims ARPACK
-    # returns one copy of the doubly degenerate first excited level, so its
-    # last two levels come out 0.29 and 0.61 too high.
+    # Why a strongly coupled operator (ratio 0.2) keeps DENSE_LIMIT: at
+    # 1 728 dims ARPACK returns one copy of the doubly degenerate first
+    # excited level, so its last two levels come out 0.29 and 0.61 too high.
     op = assembled(identical_oscillators(3, charge_coupling=0.2), [12] * 3)
     assert op.dim == 1728 and has_quadratic_form(op)
     w_sym, w_pair = np.sqrt(1.4), np.sqrt(0.8)
@@ -1080,13 +1116,51 @@ def test_quadratic_coupled_operator_stays_dense_up_to_the_limit(arpack_refused, 
         res.eigenvalues, [ground, ground + w_pair, ground + w_pair, ground + w_sym], atol=1e-8)
 
 
-def test_adaptive_fs_solve_forms_no_dense_matrix(fluxonium, monkeypatch, lobpcg_calls):
-    # The final solve of the fs search, 1 344 dims at k = 4, is LOBPCG's,
-    # at a twentieth of the time of to_dense and eigh.
+def test_strongly_coupled_degenerate_level_stays_dense(lobpcg_refused):
+    # At ratio 0.7, [10]*3 and k = 4 a cold LOBPCG returned 2.41782415, the
+    # next level, in place of the second copy of 2.41779728, with every
+    # residual below 1e-9; below DENSE_LIMIT a strongly coupled operator is
+    # solved densely.
+    op = assembled(identical_oscillators(3, charge_coupling=0.7), [10] * 3)
+    assert op.dim == 1000 and op.coupling_ratio == pytest.approx(0.7)
+    ref_vals = np.linalg.eigh(op.to_dense())[0]
+    res = eigensolve(op, k=4)
+    np.testing.assert_allclose(res.eigenvalues, ref_vals[:4], rtol=0, atol=1e-10)
+    assert ref_vals[4] - ref_vals[3] < 1e-9  # the level is doubly degenerate
+    assert res.eigenvalues[3] == pytest.approx(2.41779728, abs=1e-8)
+
+
+@pytest.fixture
+def to_dense_refused(monkeypatch):
+    """ProductOperator.to_dense replaced by one that raises."""
+
     def refused(self):
         raise AssertionError("to_dense reached")
 
     monkeypatch.setattr(spectrum.ProductOperator, "to_dense", refused)
+
+
+@pytest.mark.parametrize("d", [30, 40])
+def test_weakly_charge_coupled_box_reaches_lobpcg(
+        cpb, arpack_refused, to_dense_refused, lobpcg_calls, d):
+    # The box's one charge pair has ratio 0.0075, so 900 and 1 600 dims at
+    # k = 10 lie above the weak route's dense limit of 500.
+    op = assembled(scmodes.remove_free_modes(cpb)[0], [d, d])
+    ref_vals = np.linalg.eigh(op.matmat(np.eye(op.dim)))[0]
+    res = eigensolve(op, k=10)
+    assert len(lobpcg_calls) == 1
+    np.testing.assert_allclose(res.eigenvalues, ref_vals[:10], rtol=0, atol=1e-10)
+
+
+def test_box_sweep_takes_lobpcg_above_its_dense_limit(cpb, lobpcg_calls):
+    # 400 dims is dense, 900 and 1 600 LOBPCG's: the route of cpb-dense
+    spectrum_vs_cutoff(scmodes.remove_free_modes(cpb)[0], 10, [20, 30, 40])
+    assert len(lobpcg_calls) == 2
+
+
+def test_adaptive_fs_solve_forms_no_dense_matrix(fluxonium, to_dense_refused, lobpcg_calls):
+    # The final solve of the fs search, 1 344 dims at k = 4, is LOBPCG's,
+    # at a twentieth of the time of to_dense and eigh.
     res = scmodes.solve(scmodes.full_symplectic(fluxonium).H_out, [16, 14, 3, 2, 1], k=4)
     assert np.prod(res.cutoffs) == 1344 and len(lobpcg_calls) == 1
 
@@ -1169,11 +1243,12 @@ def test_block_path_returns_exact_degenerate_copies(n, d, k, levels):
 
 @pytest.mark.xfail(strict=True, reason="single-vector Lanczos misses exact degenerate copies")
 def test_arpack_misses_exact_degenerate_copy():
-    # Known limitation: with a charge coupling the operator stays on ARPACK,
-    # whose single-vector Lanczos holds one vector of each exactly degenerate
-    # eigenspace.  Three identical oscillators, equally charge-coupled, have
-    # normal-mode frequencies sqrt(1.4) and sqrt(0.8) twice, and ARPACK
-    # returns 1.48604, 2.38046, 2.66925, 3.27489, every residual passing.
+    # Known limitation: a strongly coupled operator (ratio 0.2) stays on
+    # ARPACK, whose single-vector Lanczos holds one vector of each exactly
+    # degenerate eigenspace.  Three identical oscillators, equally
+    # charge-coupled, have normal-mode frequencies sqrt(1.4) and sqrt(0.8)
+    # twice, and ARPACK returns 1.48604, 2.38046, 2.66925, 3.27489, every
+    # residual passing.
     op = assembled(identical_oscillators(3, charge_coupling=0.2), [17] * 3)
     assert op.dim > spectrum.DENSE_LIMIT and has_quadratic_form(op)
     w_sym, w_pair = np.sqrt(1.4), np.sqrt(0.8)

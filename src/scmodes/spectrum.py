@@ -8,17 +8,18 @@ operator is i times a real matrix, as a harmonic mode's is, and a mode
 without a drive has a real Hamiltonian and adds nothing complex to the
 operator.  The coupled Hamiltonian is assembled in the product of the
 retained bases as a sum of tensor products of local operators, applied
-matrix-free.  The route to an eigensolver follows one measured property
-of the operator, its coupling ratio: the largest |c_ij| / sqrt(c_ii c_jj)
-over its quadratic pairs, 0 when none survives.  Small systems, and
-requests for more than a fifth of the levels, are materialized and solved
-densely; for a weakly coupled operator, with a ratio below 0.03, small
-means below its measured crossover with LOBPCG, which grows with the
-number of levels asked for.  Larger weakly coupled ones go through scipy's
-LOBPCG with the product diagonal, the summed local energies, as
-preconditioner: at every cutoff each cosine coupling is bounded by its
-junction energy and each quadratic pair c_ij A_i A_j by the ratio times
-its modes' own terms 1/2 c_ii A_i^2 + 1/2 c_jj A_j^2, so the diagonal is
+matrix-free.  The route to an eigensolver follows the operator's coupling
+ratio, the largest row sum sum_j |c_ij| / sqrt(c_ii c_jj) over its
+quadratic pairs (0 when none survives), and the gap of its diagonal at
+the k-th level.  Small systems, and requests for more than a fifth of
+the levels, are materialized and solved densely; for a weakly coupled
+operator, with a ratio below 0.1, whose diagonal has a gap where the k
+levels end, small means below its measured crossover with LOBPCG, which
+grows with the number of levels asked for.  Larger weakly coupled ones go
+through scipy's LOBPCG with the product diagonal, the summed local
+energies, as preconditioner: at every cutoff each cosine coupling is
+bounded by its junction energy and the quadratic pairs of one kind by the
+ratio times the modes' own terms sum_i 1/2 c_ii A_i^2, so the diagonal is
 nearly the whole operator.  Larger strongly coupled ones go through ARPACK.
 A sequence of solves at growing or shrinking cutoffs (the adaptive
 search, a cutoff sweep) starts each iterative solve from the previous
@@ -66,8 +67,9 @@ COUPLING_DROP_RTOL = 1e-12
 
 DENSE_LIMIT = 4096
 
-# A weakly coupled operator (see _WEAK_COUPLING) is solved densely only up
-# to max(_WEAK_DENSE_FLOOR, _WEAK_DENSE_PER_LEVEL * k) dimensions, and
+# A weakly coupled operator (see _WEAK_COUPLING) whose diagonal has a gap
+# at k (see _WEAK_GAP) is solved densely only up to
+# max(_WEAK_DENSE_FLOOR, _WEAK_DENSE_PER_LEVEL * k) dimensions, and
 # never above DENSE_LIMIT: its measured crossover with LOBPCG, whose cost
 # grows with k while dense eigh's does not.  On the fs fluxonium pair (one
 # BLAS thread) dense won at 256 dims and k = 4 (6.6 against 9.0 ms) and
@@ -80,25 +82,35 @@ DENSE_LIMIT = 4096
 _WEAK_DENSE_FLOOR = 320
 _WEAK_DENSE_PER_LEVEL = 50
 
-# An operator is weakly coupled when its coupling ratio, the largest
-# |c_ij| / sqrt(c_ii c_jj) over its quadratic pairs (0 without one), is
-# below this.  Cold LOBPCG solves at tol 1e-9 (one BLAS thread), k = 4 / 10:
-#   three identical oscillators, C_inv = I + c (J - I), M0 = I, [10]*3:
-#     c = 0.05 both converged; 0.1 failed / converged; 0.2 and 0.3 both
-#     converged; 0.5 converged / failed; 0.7 missed silently (2.41782415
-#     in place of the doubly degenerate 2.41779728, every residual below
-#     1e-9) / failed; 0.9 failed / converged;
-#   the reduced Cooper-pair box at [30, 30], its charge pair scaled to
+# An operator is weakly coupled when its coupling ratio, the largest row
+# sum max_i sum_j |c_ij| / sqrt(c_ii c_jj) over its quadratic pairs of one
+# kind (0 without one), is below this.  Cold LOBPCG solves at tol 1e-9
+# (one BLAS thread), k = 4 / 10, ratios as row sums:
+#   three identical oscillators, C_inv = I + c (J - I), M0 = I, [10]*3,
+#     ratio 2c: 0.1, 0.2, 0.4 and 0.6 converged at both; 1.0 converged /
+#     failed; 1.4 missed silently (2.41782415 in place of the doubly
+#     degenerate 2.41779728, every residual below 1e-9) / failed; 1.8
+#     failed / converged;
+#   the reduced Cooper-pair box at [30, 30], its one charge pair scaled to
 #     ratios 0.0075 (its own), 0.05, 0.1, 0.2, 0.3, 0.5, 0.7 and 0.9: all
 #     converged, to 1.5e-13 of dense eigh;
-#   the fluxonium pair at [4]*5: ios (0.500) converged at both, sad
-#     (0.867) and the undecoupled pair (0.945) failed at k = 10.
-# Every failure raised.  The threshold sits over 3 times below the lowest
-# ratio that failed or missed (0.1), and 4 times above the box's.  LOBPCG
-# can also fail, at any ratio and 0 included, where k cuts a degenerate or
-# nearly degenerate multiplet (identical oscillators at c = 0.005 to 0.1,
-# identical cosine-coupled junction modes); it raises there too.
-_WEAK_COUPLING = 0.03
+#   the fluxonium pair at [4]*5: ios (1.10) converged at both, sad (1.48)
+#     and the undecoupled pair (1.16) failed at k = 10.
+# Every failure raised.  The threshold sits 10 times below the lowest
+# ratio that failed or missed (1.0), and 13 times above the box's.
+_WEAK_COUPLING = 0.1
+
+# Where k cuts a degenerate or nearly degenerate multiplet, LOBPCG can stall
+# at any ratio, 0 included, so a weakly coupled operator takes its
+# crossover only when its diagonal, sorted, D_0 <= D_1 <= ..., has a gap at
+# k: (D_k - D_{k-1}) / (D_k - D_0) of at least this; otherwise it stays
+# dense up to DENSE_LIMIT.  Of 1 296 cold solves at tol 1e-9 (two to four
+# oscillators at [32]*2, [10]*3, [12]*3 and [6]*4, identical, 3 % or 30 %
+# detuned, ratio 0.0025 to 0.3, k = 1 to 12) 100 failed, every one at a
+# gap of at most 0.0074; of 648 on two or three cosine-coupled junction
+# modes (ratio 0) 41 failed, every one at a gap below 1e-13.  None missed
+# silently.  The box's gap is 0.070 at k = 10 and 0.030 at k = 4.
+_WEAK_GAP = 0.025
 
 SOLVE_TOL = 1e-9  # default eigensolver tolerance
 
@@ -518,10 +530,9 @@ class _QuadraticForm:
         """The pairs (i, j, coeff) of one kind; A_m is the ``attr`` operator of
         mode m less its phase, which goes into the coefficients.  ``scale`` is
         the diagonal of the kind's matrix, c_ii, and ``coupling_ratio`` the
-        largest |c_ij| / sqrt(c_ii c_jj), infinite where c_ii c_jj is not
-        positive."""
-        split, by_row = {}, {}
-        self.coupling_ratio = 0.0
+        largest row sum max_i sum_j |c_ij| / sqrt(c_ii c_jj), a pair's share
+        infinite where c_ii c_jj is not positive."""
+        split, by_row, row_sums = {}, {}, {}
         for i, j, coeff in pairs:
             for mode in (i, j):
                 op = getattr(locals_[mode], attr)
@@ -534,7 +545,8 @@ class _QuadraticForm:
                     split[mode] = _phase_split(op)
             norm = float(scale[i]) * float(scale[j])
             ratio = abs(coeff) / math.sqrt(norm) if norm > 0 else math.inf
-            self.coupling_ratio = max(self.coupling_ratio, ratio)
+            for mode in (i, j):
+                row_sums[mode] = row_sums.get(mode, 0.0) + ratio
             c = coeff * split[i][0] * split[j][0]
             by_row.setdefault(i, []).append((j, c if c.imag else c.real))
         self._dtype = np.result_type(
@@ -543,6 +555,7 @@ class _QuadraticForm:
         self.mats = {m: a.astype(self._dtype, copy=False) for m, (_, a) in split.items()}
         self._last = {j: r for r, row in enumerate(by_row.values()) for j, _ in row}
         self.rows = tuple(by_row.items())
+        self.coupling_ratio = max(row_sums.values(), default=0.0)
 
     @property
     def is_real(self) -> bool:
@@ -578,20 +591,19 @@ class ProductOperator:
     parts.  Every other fact follows from these two and is set here alone:
     ``dims`` (a tuple of ints) and ``dim`` from the diagonal's shape,
     ``dtype`` float64 when every term is real and complex128 otherwise,
-    ``quadratic`` whether a quadratic form survived among the terms,
-    ``coupling_ratio`` the largest of the forms' ratios
-    |c_ij| / sqrt(c_ii c_jj), 0 without one, and ``diagonal``, the flat
-    diagonal as a read-only view.  The ratio is dimensionless and does
-    not depend on the cutoffs; :func:`eigensolve` routes on it.
+    ``coupling_ratio`` the largest of the quadratic forms' ratios, each
+    the largest row sum max_i sum_j |c_ij| / sqrt(c_ii c_jj) of its pairs,
+    0 when no quadratic form survived, and ``diagonal``, the flat diagonal
+    as a read-only view.  The ratio is dimensionless and does not depend
+    on the cutoffs; :func:`eigensolve` routes on it.
     """
 
     def __init__(self, diag: np.ndarray, terms):
         self.dims = tuple(int(d) for d in diag.shape)
         self.dim = int(diag.size)
         self.dtype = np.float64 if all(t.is_real for t in terms) else np.complex128
-        forms = [t for t in terms if isinstance(t, _QuadraticForm)]
-        self.quadratic = bool(forms)
-        self.coupling_ratio = max((f.coupling_ratio for f in forms), default=0.0)
+        self.coupling_ratio = max(
+            (t.coupling_ratio for t in terms if isinstance(t, _QuadraticForm)), default=0.0)
         self.diagonal = diag.reshape(-1)
         self.diagonal.flags.writeable = False
         self._diag = diag[..., np.newaxis]  # shaped ``dims + (1,)``
@@ -690,7 +702,10 @@ def _lobpcg(op: ProductOperator, k: int, tol: float, start) -> tuple[np.ndarray,
     LOBPCG's tolerance bounds every residual norm, so tol itself meets
     tol * max(1, |E|) whatever the eigenvalue E.  A miss, which LOBPCG
     reports by a warning and its best iterate, raises
-    :class:`EigensolverConvergenceError` with the k residuals.
+    :class:`EigensolverConvergenceError` with the k residuals unless that
+    iterate meets tol * max(1, |E|) all the same: LOBPCG warns when its
+    last iterate misses tol, and near a stall the best one can still meet
+    it.
     """
     diag = op.diagonal
     cols = np.zeros((op.dim, 0)) if start is None else np.asarray(start).reshape(op.dim, -1)[:, :k]
@@ -714,11 +729,21 @@ def _lobpcg(op: ProductOperator, k: int, tol: float, start) -> tuple[np.ndarray,
             M=lambda V: V / shifted[:, None], tol=tol, maxiter=_LOBPCG_MAX_ITER, largest=False,
         )
     if missed:
-        raise EigensolverConvergenceError(
-            f"LOBPCG did not converge within {_LOBPCG_MAX_ITER} iterations",
-            residuals=_residuals(op, evals, X),
-        )
+        residuals = _residuals(op, evals, X)
+        if np.any(residuals > max(tol, np.finfo(float).eps) * np.maximum(1.0, np.abs(evals))):
+            raise EigensolverConvergenceError(
+                f"LOBPCG did not converge within {_LOBPCG_MAX_ITER} iterations",
+                residuals=residuals,
+            )
     return evals, X
+
+
+def _gap_at(diag: np.ndarray, k: int) -> float:
+    """(D_k - D_{k-1}) / (D_k - D_0) of diag sorted ascending, for k < diag.size;
+    0 where D_k = D_0."""
+    low = np.partition(diag, k)[: k + 1]
+    span = low[k] - low.min()
+    return float((low[k] - low[:k].max()) / span) if span > 0 else 0.0
 
 
 def eigensolve(
@@ -727,36 +752,39 @@ def eigensolve(
     """k lowest eigenpairs by one of three branches, chosen from op and k.
 
     The operator is weakly coupled when its ``coupling_ratio``, the largest
-    |c_ij| / sqrt(c_ii c_jj) over its quadratic pairs (0 without one), is
-    below _WEAK_COUPLING = 0.03, and strongly coupled otherwise.
+    row sum sum_j |c_ij| / sqrt(c_ii c_jj) over its quadratic pairs (0
+    without one), is below _WEAK_COUPLING = 0.1, and strongly coupled
+    otherwise.
 
     - Dense ``eigh`` of the materialized operator as built, k pairs only
       (``eigh`` reads one triangle), when k > dim / 5 or when dim is at
       most the operator's dense limit.  Above a fifth of the levels LOBPCG
       would itself fall back to a dense solve, one matvec per unit vector,
       and ARPACK's 2k + 1 Krylov vectors would span over two fifths of
-      the space.  The dense limit of a weakly coupled operator is the
+      the space.  The dense limit of a weakly coupled operator whose
+      sorted diagonal has a relative gap of at least _WEAK_GAP at k is the
       measured crossover with LOBPCG, max(320, 50 k) capped at
-      DENSE_LIMIT (see _WEAK_DENSE_PER_LEVEL); that of a strongly
-      coupled one is DENSE_LIMIT.
+      DENSE_LIMIT (see _WEAK_DENSE_PER_LEVEL); that of any other is
+      DENSE_LIMIT, since LOBPCG can stall where k cuts a nearly
+      degenerate multiplet.
     - Otherwise, weakly coupled: LOBPCG (:func:`_lobpcg`), preconditioned
       by the product diagonal.  At every cutoff a cosine coupling is
-      bounded by its junction energy and a quadratic pair c_ij A_i A_j by
-      the ratio times 1/2 c_ii A_i^2 + 1/2 c_jj A_j^2, so the diagonal
-      stays a good approximation of the operator however large the
-      cutoffs grow.  Each pair meets ||H v - E v|| <= tol * max(1, |E|).
-      The threshold is measured (see _WEAK_COUPLING): LOBPCG failed from
-      a ratio of 0.1 and missed a degenerate copy silently at 0.7, while
-      on the reduced Cooper-pair box (0.0075) it converged at every ratio
-      tried and took 20 ms against dense's 79 ms at 900 dims.
+      bounded by its junction energy and the quadratic pairs of one kind
+      by the ratio times sum_i 1/2 c_ii A_i^2, so the diagonal stays a
+      good approximation of the operator however large the cutoffs grow.
+      Each pair meets ||H v - E v|| <= tol * max(1, |E|).  The threshold
+      is measured (see _WEAK_COUPLING): LOBPCG failed from a ratio of 1.0
+      and missed a degenerate copy silently at 1.4, while on the reduced
+      Cooper-pair box (0.0075) it converged at every ratio tried and took
+      20 ms against dense's 79 ms at 900 dims.
     - Otherwise, strongly coupled: ARPACK.  With k = 4 LOBPCG took
       1.8-1.9 times ARPACK's time on the undecoupled fluxonium pair
-      (0.945) at 7 776 to 32 768 dims and 1.1 times on its SAD form
-      (0.867) at 32 768.  Such an operator stays dense up to DENSE_LIMIT
+      (1.16) at 7 776 to 32 768 dims and 1.1 times on its SAD form
+      (1.48) at 32 768.  Such an operator stays dense up to DENSE_LIMIT
       because neither iterative solver is safe there: LOBPCG did not
       converge on the undecoupled pair at k = 10 (576 to 3 125 dims), and
       ARPACK's single-vector Lanczos missed an exact degenerate copy of
-      three equally charge-coupled oscillators (0.2) at 1 728 dims.
+      three equally charge-coupled oscillators (0.4) at 1 728 dims.
 
     ``start`` is an optional (dim,) vector or (dim, m) block close to the
     wanted eigenvectors, such as the previous solution of a sweep carried
@@ -777,8 +805,9 @@ def eigensolve(
         raise ValueError(f"operator dimension {op.dim} is smaller than k = {k}")
     factor = RESIDUAL_FACTOR
     weak = op.coupling_ratio < _WEAK_COUPLING
-    limit = DENSE_LIMIT if not weak else min(
-        DENSE_LIMIT, max(_WEAK_DENSE_FLOOR, _WEAK_DENSE_PER_LEVEL * k))
+    limit = DENSE_LIMIT
+    if weak and 5 * k <= op.dim and _gap_at(op.diagonal, k) >= _WEAK_GAP:
+        limit = min(DENSE_LIMIT, max(_WEAK_DENSE_FLOOR, _WEAK_DENSE_PER_LEVEL * k))
     if op.dim <= limit or 5 * k > op.dim:
         evals, evecs = scipy.linalg.eigh(
             op.to_dense(), overwrite_a=True, subset_by_index=[0, k - 1]
